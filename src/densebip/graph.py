@@ -139,7 +139,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the on-disk format: a header line "n m", then m lines "u v".
 
     Blank lines and lines starting with '#' are ignored. Vertex ids are
-    0-based and whitespace-separated.
+    0-based and whitespace-separated. Each edge is listed once, in either
+    orientation; a repeated edge is an error, not collapsed.
     """
     rows = []
     for raw in text.splitlines():
@@ -169,7 +170,16 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise GraphError(f"bad edge line {line!r}: {exc}") from None
-    return from_edge_list(n, edges)
+    g = from_edge_list(n, edges)
+    if g.m != m:
+        # from_edge_list collapsed a repeat; find the first one to name it
+        seen: set[tuple[int, int]] = set()
+        for u, v in edges:
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            seen.add(key)
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

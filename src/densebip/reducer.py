@@ -3,8 +3,14 @@
 The pipeline keeps only the d-core, shrinks it to an inclusion-minimal induced
 subgraph of minimum degree >= d (which forces degeneracy <= d), then records a
 left-to-right vertex ordering with bounded left-degree plus a size-d candidate
-neighbor set per vertex. Everything is deterministic: ties always break toward
-the smallest vertex id.
+neighbor set per vertex.
+
+Both the d-core and the minimality scan run on one peeling routine
+(Batagelj-Zaversnik): delete some vertices, then repeatedly delete every
+vertex whose degree has dropped below d, keeping the degrees up to date. The
+scan makes a single pass over the core, tentatively deleting one vertex at a
+time and undoing the deletion when it would empty the remainder. Everything
+is deterministic: ties always break toward the smallest vertex id.
 """
 
 from __future__ import annotations
@@ -14,13 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .graph import Graph
-
-# Above this many core vertices the minimality scan falls back to the
-# queue-based cascade instead of dense matrix arithmetic.
-_DENSE_LIMIT = 4096
 
 
 class EmptyCoreError(ValueError):
@@ -66,57 +66,43 @@ class OrderedGraph:
         return max((len(left) for left in self.left_neighbors), default=0)
 
 
+def _peel(
+    adjacency: Sequence[Sequence[int]], deg: list[int], alive: list[bool], stack: list[int], d: int
+) -> tuple[list[int], list[int]]:
+    """Delete the vertices on `stack`, then every vertex whose degree drops below d.
+
+    `deg` and `alive` are updated in place and `stack` is consumed. Returns
+    (killed, decremented): every deleted vertex, and one entry per degree
+    decrement, which together are enough to undo the peel.
+    """
+    killed = list(stack)
+    for v in killed:
+        alive[v] = False
+    decremented: list[int] = []
+    while stack:
+        u = stack.pop()
+        for w in adjacency[u]:
+            if alive[w]:
+                deg[w] -= 1
+                decremented.append(w)
+                if deg[w] < d:
+                    alive[w] = False
+                    stack.append(w)
+                    killed.append(w)
+    return killed, decremented
+
+
 def d_core(g: Graph, d: int) -> tuple[int, ...]:
     """Vertices of the unique maximal induced subgraph with min degree >= d.
 
-    Computed by iterated removal of vertices of degree < d; possibly empty.
+    Computed by peeling from every vertex of degree < d; possibly empty.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
     deg = [len(nbrs) for nbrs in g.adjacency]
     alive = [True] * g.n
-    stack = [v for v in range(g.n) if deg[v] < d]
-    for v in stack:
-        alive[v] = False
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < d:
-                    alive[w] = False
-                    stack.append(w)
+    _peel(g.adjacency, deg, alive, [v for v in range(g.n) if deg[v] < d], d)
     return tuple(v for v in range(g.n) if alive[v])
-
-
-def _cascade_dense(matrix: np.ndarray, alive: np.ndarray, start: int, d: int) -> np.ndarray:
-    out = alive.copy()
-    out[start] = False
-    while True:
-        deg = matrix @ out.astype(np.int64)
-        bad = out & (deg < d)
-        if not bad.any():
-            return out
-        out &= ~bad
-
-
-def _cascade_py(adjacency: Sequence[Sequence[int]], alive: list[bool], start: int, d: int) -> list[bool]:
-    out = list(alive)
-    deg = [0] * len(out)
-    for v, live in enumerate(out):
-        if live:
-            deg[v] = sum(1 for w in adjacency[v] if out[w])
-    out[start] = False
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adjacency[u]:
-            if out[w]:
-                deg[w] -= 1
-                if deg[w] < d:
-                    out[w] = False
-                    stack.append(w)
-    return out
 
 
 def minimal_min_degree_subgraph(
@@ -124,11 +110,20 @@ def minimal_min_degree_subgraph(
 ) -> tuple[Graph, dict[int, int]]:
     """Inclusion-minimal induced subgraph of min degree >= d, plus the id map.
 
-    Starting from the d-core, tentatively delete one vertex at a time
-    (ascending id unless `scan_order` gives a different priority over original
-    ids) and recompute the core of the remainder; the first deletion whose
-    core survives is committed and the scan restarts. When no deletion
-    survives, the remainder is inclusion-minimal, hence d-degenerate.
+    Starting from the d-core, one pass visits the vertices in ascending id
+    (unless `scan_order` gives a different priority over original ids) and
+    tentatively deletes each live one, peeling what drops below degree d. The
+    deletion is kept when something survives and undone when the remainder
+    would be empty. One pass suffices because the d-core is monotone under
+    inclusion: a vertex whose deletion emptied the remainder once empties
+    every smaller remainder too. When no deletion survives the remainder is
+    inclusion-minimal, hence d-degenerate.
+
+    The pass stops once the remainder is connected and every live vertex has
+    degree exactly d, since deleting any vertex then peels everything. A
+    failed deletion detects this: in a remainder whose degrees all equal d it
+    peels exactly the deleted vertex's component, so it fails only when that
+    component is the whole remainder.
     """
     core = d_core(g, d)
     if not core:
@@ -148,38 +143,26 @@ def minimal_min_degree_subgraph(
     else:
         scan = list(range(k))
 
-    if k <= _DENSE_LIMIT:
-        matrix = np.zeros((k, k), dtype=np.int8)
-        for v, nbrs in enumerate(sub.adjacency):
-            for w in nbrs:
-                matrix[v, w] = 1
-        alive = np.ones(k, dtype=bool)
-        progressed = True
-        while progressed:
-            progressed = False
-            for v in scan:
-                if not alive[v]:
-                    continue
-                trial = _cascade_dense(matrix, alive, v, d)
-                if trial.any():
-                    alive = trial
-                    progressed = True
-                    break
-        survivors = [int(i) for i in np.flatnonzero(alive)]
-    else:
-        alive_py = [True] * k
-        progressed = True
-        while progressed:
-            progressed = False
-            for v in scan:
-                if not alive_py[v]:
-                    continue
-                trial = _cascade_py(sub.adjacency, alive_py, v, d)
-                if any(trial):
-                    alive_py = trial
-                    progressed = True
-                    break
-        survivors = [v for v in range(k) if alive_py[v]]
+    adjacency = sub.adjacency
+    deg = [len(nbrs) for nbrs in adjacency]
+    alive = [True] * k
+    live = k
+    for v in scan:
+        if not alive[v]:
+            continue
+        killed, decremented = _peel(adjacency, deg, alive, [v], d)
+        if len(killed) < live:
+            live -= len(killed)
+            continue
+        for w in decremented:
+            deg[w] += 1
+        for u in killed:
+            alive[u] = True
+        if all(deg[u] == d for u in killed):
+            # Every degree is exactly d, so the peel took exactly v's
+            # component: the remainder is connected and no deletion can succeed.
+            break
+    survivors = [v for v in range(k) if alive[v]]
 
     new_to_old = {i: v for v, i in old_to_new.items()}
     return g.induced_subgraph([new_to_old[v] for v in survivors])

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterable
 
 from hypothesis import strategies as st
 
 from densebip.graph import Graph, from_edge_list
+from densebip.reducer import EmptyCoreError
 
 
 def cycle_graph(n: int) -> Graph:
@@ -127,3 +129,48 @@ def is_bipartite(g: Graph) -> bool:
                 elif color[w] == color[u]:
                     return False
     return True
+
+
+def _peeled(g: Graph, alive: list[bool], d: int) -> list[bool]:
+    """Live vertices left after repeatedly deleting every one of live degree < d."""
+    alive = list(alive)
+    while True:
+        low = [
+            v for v in range(g.n)
+            if alive[v] and sum(alive[w] for w in g.adjacency[v]) < d
+        ]
+        if not low:
+            return alive
+        for v in low:
+            alive[v] = False
+
+
+def restart_minimal_subgraph(
+    g: Graph, d: int, scan_order: Iterable[int] | None = None
+) -> tuple[Graph, dict[int, int]]:
+    """Reference for `minimal_min_degree_subgraph`: the restart-after-commit scan.
+
+    Every tentative deletion recomputes the core of the remainder from scratch,
+    and every kept deletion restarts the scan from its first vertex.
+    """
+    alive = _peeled(g, [True] * g.n, d)
+    if not any(alive):
+        raise EmptyCoreError(f"the {d}-core of the input is empty")
+    order: list[int] = []
+    for v in [*(scan_order or ()), *range(g.n)]:
+        if 0 <= v < g.n and v not in order:
+            order.append(v)
+    progressed = True
+    while progressed:
+        progressed = False
+        for v in order:
+            if not alive[v]:
+                continue
+            trial = list(alive)
+            trial[v] = False
+            trial = _peeled(g, trial, d)
+            if any(trial):
+                alive = trial
+                progressed = True
+                break
+    return g.induced_subgraph([v for v in range(g.n) if alive[v]])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,14 @@ def test_seed_env_var_fallback(k16_file, capsys, monkeypatch):
         capsys, "extract", "--in", k16_file, "--d", "16", "--guarantee", "--seed", "0", "--json"
     )
     assert out_override == out_flag
+
+
+def test_runtime_needs_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, densebip.cli; print(densebip.cli.__file__, 'numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == [str(src / "densebip" / "cli.py"), "False"]

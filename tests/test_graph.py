@@ -206,6 +206,10 @@ class TestSerialization:
             parse_edge_list("3 1\n0 1 2\n")
         with pytest.raises(GraphError):
             parse_edge_list("3 1\nx y\n")
+        with pytest.raises(GraphError, match=r"duplicate edge \(1,0\)"):
+            parse_edge_list("3 3\n0 1\n1 0\n1 2\n")
+        with pytest.raises(GraphError, match=r"duplicate edge \(0,1\)"):
+            parse_edge_list("3 2\n0 1\n0 1\n")
 
     def test_hash_is_canonical(self):
         a = from_edge_list(3, [(0, 1), (1, 2)])

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densebip.graph import from_edge_list
-from densebip.generators import complete_bipartite
+from densebip.generators import c5_blowup, complete_bipartite
 from densebip.reducer import (
     EmptyCoreError,
     OrderingError,
@@ -22,6 +22,7 @@ from helpers import (
     is_bipartite,
     path_graph,
     random_graph,
+    restart_minimal_subgraph,
 )
 
 
@@ -29,6 +30,12 @@ def union_k33_k44():
     edges = [(i, 3 + j) for i in range(3) for j in range(3)]
     edges += [(6 + i, 10 + j) for i in range(4) for j in range(4)]
     return from_edge_list(14, edges)
+
+
+def two_disjoint_k33():
+    edges = [(i, 3 + j) for i in range(3) for j in range(3)]
+    edges += [(6 + i, 9 + j) for i in range(3) for j in range(3)]
+    return from_edge_list(12, edges)
 
 
 class TestDCore:
@@ -88,6 +95,36 @@ class TestMinimalMinDegreeSubgraph:
     def test_empty_core_raises(self):
         with pytest.raises(EmptyCoreError):
             minimal_min_degree_subgraph(complete_bipartite(1, 5), 2)
+
+    def test_disjoint_regular_components_keep_the_last(self):
+        # d-regular but disconnected: deleting vertex 0 still succeeds
+        sub, mapping = minimal_min_degree_subgraph(two_disjoint_k33(), 3)
+        assert sorted(mapping) == list(range(6, 12))
+        assert sub == complete_bipartite(3, 3)
+
+    @pytest.mark.parametrize(
+        "g,d",
+        [
+            (complete_bipartite(5, 5), 5),
+            (c5_blowup(3), 6),
+            (union_k33_k44(), 3),
+            (two_disjoint_k33(), 3),
+        ],
+    )
+    def test_fixed_cases_match_restart_oracle(self, g, d):
+        for scan in (None, range(g.n - 1, -1, -1)):
+            assert minimal_min_degree_subgraph(g, d, scan) == restart_minimal_subgraph(g, d, scan)
+
+    @settings(max_examples=200)
+    @given(graphs(), st.integers(0, 4), st.data())
+    def test_matches_restart_oracle(self, g, d, data):
+        scan = data.draw(st.permutations(range(g.n)))
+        if not d_core(g, d):
+            with pytest.raises(EmptyCoreError):
+                minimal_min_degree_subgraph(g, d, scan)
+            return
+        for order in (None, scan):
+            assert minimal_min_degree_subgraph(g, d, order) == restart_minimal_subgraph(g, d, order)
 
     def test_corpus_properties(self):
         for seed in range(40):
