@@ -24,7 +24,7 @@ from fractions import Fraction
 from .graph import BipartitePairReport, Graph, bipartite_pair_report
 from .parallel import iter_indexed
 from .reducer import OrderedGraph
-from .rng import stream
+from .rng import sampled_members, stream
 
 GUARANTEE_MIN_DEGREE = 16
 BEST_EFFORT_MIN_DEGREE = 2
@@ -159,12 +159,15 @@ class SampleOutcome:
 
 
 def potential_value(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> Fraction:
-    """|supported| - layer_edges/(10 q d) - q |sampled| d/10, exactly."""
-    q, d = params.q, params.d
-    return (
-        Fraction(n_supported)
-        - Fraction(layer_edges) / (10 * q * d)
-        - q * n_sampled * d / 10
+    """|supported| - layer_edges/(10 q d) - q |sampled| d/10, exactly.
+
+    With q = a/b the three terms share the denominator 10abd, so the value is
+    built as one Fraction from integers.
+    """
+    a, b, d = params.q.numerator, params.q.denominator, params.d
+    abd = a * b * d
+    return Fraction(
+        10 * abd * n_supported - b * b * layer_edges - a * a * d * d * n_sampled, 10 * abd
     )
 
 
@@ -188,38 +191,47 @@ def left_minimal_members(og: OrderedGraph, sampled, membership) -> list[int]:
     return out
 
 
-def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
-    """Draw one trial from `rng` (anything with randrange; usually a seeded stream).
-
-    Membership tests use randrange(d) == 0 so the per-vertex probability is
-    exactly 1/d, not a float approximation.
-    """
-    if og.d != params.d:
-        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
-    g = og.graph
-    n = g.n
-    d, ell, threshold = params.d, params.ell, params.threshold
-    membership = bytearray(n)
-    sampled = []
-    randrange = rng.randrange
-    for v in range(n):
-        if randrange(d) == 0:
-            membership[v] = 1
-            sampled.append(v)
-    survivors = left_minimal_members(og, sampled, membership)
+def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
+    """(layer, layer_edges): the vertices whose candidate set holds exactly ell
+    sampled vertices, ascending, and the number of edges among them."""
+    if len(sampled) < ell:
+        return [], 0  # no candidate set can be hit ell times
+    n = og.graph.n
     hits = [0] * n
     index = og.candidate_index
     for x in sampled:
         for y in index[x]:
             hits[y] += 1
     layer = [y for y in range(n) if hits[y] == ell]
-    layer_edges = g.edges_within(layer)
-    support = [0] * n
-    adjacency = g.adjacency
-    for s in survivors:
-        for w in adjacency[s]:
-            support[w] += 1
-    supported = [y for y in layer if support[y] >= threshold]
+    if not layer:
+        return layer, 0
+    keep = frozenset(layer)
+    sets = og.graph.neighbor_sets
+    return layer, sum(len(keep & sets[y]) for y in layer) // 2
+
+
+def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
+    """Draw one trial from `rng` (a random.Random, usually a seeded stream, or
+    anything with getrandbits).
+
+    Sampling goes through `sampled_members`, so the per-vertex probability is
+    exactly 1/d and the stream is consumed as by one randrange(d) per vertex.
+    """
+    if og.d != params.d:
+        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
+    n = og.graph.n
+    sampled = sampled_members(rng, range(n), params.d)
+    membership = bytearray(n)
+    for v in sampled:
+        membership[v] = 1
+    survivors = left_minimal_members(og, sampled, membership)
+    layer, layer_edges = hit_layer(og, sampled, params.ell)
+    supported: list[int] = []
+    if layer:
+        survivor_set = set(survivors)
+        sets = og.graph.neighbor_sets
+        threshold = params.threshold
+        supported = [y for y in layer if len(survivor_set.intersection(sets[y])) >= threshold]
     phi = potential_value(len(supported), layer_edges, len(sampled), params)
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi

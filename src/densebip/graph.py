@@ -70,22 +70,15 @@ class Graph:
     def is_triangle_free(self) -> bool:
         """True iff no edge's endpoints share a neighbor.
 
-        Runs a sorted-list merge intersection over each edge's two adjacency
-        lists, so the cost is sum over edges of (deg u + deg v) in the worst
-        case, with early exit on the first common neighbor.
+        Tests each edge (u, v) with u < v by checking v's adjacency list
+        against u's cached neighbor set, so the cost is the sum of deg v over
+        the edges, with early exit on the first common neighbor.
         """
+        sets = self.neighbor_sets
         adj = self.adjacency
         for u, v in self.edges():
-            a, b = adj[u], adj[v]
-            i = j = 0
-            la, lb = len(a), len(b)
-            while i < la and j < lb:
-                if a[i] == b[j]:
-                    return False
-                if a[i] < b[j]:
-                    i += 1
-                else:
-                    j += 1
+            if not sets[u].isdisjoint(adj[v]):
+                return False
         return True
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
@@ -110,7 +103,10 @@ class Graph:
         return sum(len(sets[v] & keep) for v in vs) // 2
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
-        return self.edges_within(vertices) == 0
+        vs = _vertex_subset(self.n, vertices)
+        keep = set(vs)
+        adjacency = self.adjacency
+        return all(keep.isdisjoint(adjacency[v]) for v in vs)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -234,7 +230,7 @@ def bipartite_pair_report(g: Graph, I: Iterable[int], J: Iterable[int]) -> Bipar
     elif not g.is_independent(side_j):
         reason = "side J is not independent"
     j_set = set(side_j)
-    cross = sum(len(g.neighbor_sets[u] & j_set) for u in side_i)
+    cross = sum(len(j_set.intersection(g.adjacency[u])) for u in side_i)
     total = len(side_i) + len(side_j)
     average = Fraction(2 * cross, total) if total else Fraction(0)
     return BipartitePairReport(side_i, side_j, cross, average, reason is None, reason)

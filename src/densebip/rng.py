@@ -7,6 +7,11 @@ that ``Random(n).random()`` yields the same sequence on every platform and
 version, so each (seed, index) pair is reproducible everywhere, and indexed
 trials can be evaluated in any order, thread, or process without changing
 results.
+
+Vertex sampling at rate 1/d goes through ``sampled_members``, which runs
+CPython's own ``randrange(d)`` rejection loop on ``getrandbits`` inline: the
+stream is consumed exactly as ``randrange(d)`` would consume it, and each
+vertex is sampled with probability exactly 1/d.
 """
 
 from __future__ import annotations
@@ -35,3 +40,24 @@ def stream_seed(master_seed: int, index: int) -> int:
 def stream(master_seed: int, index: int) -> random.Random:
     """Fresh deterministic generator for one indexed trial."""
     return random.Random(stream_seed(master_seed, index))
+
+
+def sampled_members(rng, vertices, d: int) -> list[int]:
+    """The members of `vertices`, in order, for which randrange(d) would draw 0.
+
+    Each draw repeats ``getrandbits(d.bit_length())`` until it is below d, as
+    ``Random.randrange(d)`` does, so `rng` ends in the same state as after one
+    ``randrange(d)`` call per vertex.
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    getrandbits = rng.getrandbits
+    k = d.bit_length()
+    out = []
+    for v in vertices:
+        r = getrandbits(k)
+        while r >= d:
+            r = getrandbits(k)
+        if not r:
+            out.append(v)
+    return out

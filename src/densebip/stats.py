@@ -18,6 +18,7 @@ from .extractor import (
     Params,
     derive_params,
     exact_q,
+    hit_layer,
     left_minimal_members,
     sample_trial,
     survival_probability,
@@ -25,7 +26,7 @@ from .extractor import (
 )
 from .parallel import iter_indexed
 from .reducer import OrderedGraph
-from .rng import stream
+from .rng import sampled_members, stream
 
 Z95 = 1.96
 CONDITIONAL_TARGET = 0.2  # supported-given-layer probability must beat 1/5
@@ -137,11 +138,9 @@ def _require_compatible(og: OrderedGraph, params: Params) -> None:
 def _forced_trial(og: OrderedGraph, params: Params, y: int, forced, rng) -> ConditionalTrial:
     """Complete a trial whose candidate-set coordinates are pinned to `forced`."""
     blocked = set(og.candidate_sets[y])
-    d = params.d
+    free = [v for v in range(og.graph.n) if v not in blocked]
     sampled = set(forced)
-    for v in range(og.graph.n):
-        if v not in blocked and rng.randrange(d) == 0:
-            sampled.add(v)
+    sampled.update(sampled_members(rng, free, params.d))
     return ConditionalTrial(y, tuple(sorted(forced)), tuple(sorted(sampled)))
 
 
@@ -251,12 +250,7 @@ def mc_markov_bound(
 
 def _survival_worker(args, index: int) -> int:
     og, params, x, seed = args
-    rng = stream(seed, index)
-    d = params.d
-    for _w in og.left_neighbors[x]:
-        if rng.randrange(d) == 0:
-            return 0
-    return 1
+    return 0 if sampled_members(stream(seed, index), og.left_neighbors[x], params.d) else 1
 
 
 def mc_per_vertex_survival(
@@ -280,16 +274,8 @@ def mc_per_vertex_survival(
 
 def _edge_identity_worker(args, index: int) -> int:
     og, params, seed = args
-    rng = stream(seed, index)
-    g = og.graph
-    d, ell = params.d, params.ell
-    sampled = [v for v in range(g.n) if rng.randrange(d) == 0]
-    hits = [0] * g.n
-    for x in sampled:
-        for y in og.candidate_index[x]:
-            hits[y] += 1
-    layer = [y for y in range(g.n) if hits[y] == ell]
-    return g.edges_within(layer)
+    sampled = sampled_members(stream(seed, index), range(og.graph.n), params.d)
+    return hit_layer(og, sampled, params.ell)[1]
 
 
 def mc_edge_identity(

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable
 
 from hypothesis import strategies as st
 
+from densebip.extractor import Params, SampleOutcome, left_minimal_members
 from densebip.graph import Graph, from_edge_list
-from densebip.reducer import EmptyCoreError
+from densebip.reducer import EmptyCoreError, OrderedGraph
 
 
 def cycle_graph(n: int) -> Graph:
@@ -174,3 +176,50 @@ def restart_minimal_subgraph(
                 progressed = True
                 break
     return g.induced_subgraph([v for v in range(g.n) if alive[v]])
+
+
+def reference_potential_value(
+    n_supported: int, layer_edges: int, n_sampled: int, params: Params
+) -> Fraction:
+    """Reference for `potential_value`: the three-term Fraction chain."""
+    q, d = params.q, params.d
+    return (
+        Fraction(n_supported)
+        - Fraction(layer_edges) / (10 * q * d)
+        - q * n_sampled * d / 10
+    )
+
+
+def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
+    """Reference for `sample_trial`: one randrange(d) per vertex, then full
+    hit, layer-edge and support passes over every vertex."""
+    if og.d != params.d:
+        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
+    g = og.graph
+    n = g.n
+    d, ell, threshold = params.d, params.ell, params.threshold
+    membership = bytearray(n)
+    sampled = []
+    randrange = rng.randrange
+    for v in range(n):
+        if randrange(d) == 0:
+            membership[v] = 1
+            sampled.append(v)
+    survivors = left_minimal_members(og, sampled, membership)
+    hits = [0] * n
+    index = og.candidate_index
+    for x in sampled:
+        for y in index[x]:
+            hits[y] += 1
+    layer = [y for y in range(n) if hits[y] == ell]
+    layer_edges = g.edges_within(layer)
+    support = [0] * n
+    adjacency = g.adjacency
+    for s in survivors:
+        for w in adjacency[s]:
+            support[w] += 1
+    supported = [y for y in layer if support[y] >= threshold]
+    phi = reference_potential_value(len(supported), layer_edges, len(sampled), params)
+    return SampleOutcome(
+        tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -227,6 +228,31 @@ class TestStats:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args, "--workers", "2")
         assert out1 == out2
+
+
+# sha256 of stdout on the K_{16,16} fixture at d=16, --guarantee --seed 7; a
+# change here means some trial stream or its evaluation changed
+FROZEN_STDOUT = {
+    ("extract", "--json"):
+        "236a759af76717cace6a7ab6212965cb4ecdc7903d4cf1e33a878b071410a2b4",
+    ("stats", "potential", "--trials", "200"):
+        "56cade60523324e8de00e55bed93f9c8f5979899fd97a1b2b91eb2789c07b5e0",
+    ("stats", "conditional", "--trials", "200"):
+        "8d45aaa0f1362c67fe97309520e2b447ef5d2fa400ff7b4b6a291e2590bd3e2e",
+    ("stats", "survival", "--trials", "200"):
+        "a2c41e4f65c7606ce628b65c07285cfb05a3161d4a755ebf3678e94724b32ff4",
+    ("stats", "edge-identity", "--trials", "200"):
+        "d8b7ab0fdacf42348820ed930220c5b61bdc532f26eb3a13afa81444d099e6c5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_STDOUT), ids=" ".join)
+def test_frozen_stdout(command, k16_file, capsys):
+    code, out, _ = run(
+        capsys, *command, "--in", k16_file, "--d", "16", "--guarantee", "--seed", "7"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT[command]
 
 
 class TestVerify:

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from densebip.extractor import (
     ExtractionError,
@@ -18,13 +21,18 @@ from densebip.extractor import (
     survival_probability,
     target_hit_count,
 )
-from densebip.generators import complete_bipartite
+from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
-from densebip.reducer import build_ordered, reduce_and_order
+from densebip.reducer import EmptyCoreError, build_ordered, reduce_and_order
 from densebip.rng import stream
 from densebip.stats import wilson_interval
 
-from helpers import cycle_graph, random_graph
+from helpers import (
+    cycle_graph,
+    random_graph,
+    reference_potential_value,
+    reference_sample_trial,
+)
 
 
 def hit_target_highprec(d: int) -> int:
@@ -33,7 +41,7 @@ def hit_target_highprec(d: int) -> int:
 
 
 class FixedRng:
-    """randrange stub: yields scripted values, then a constant."""
+    """randrange/getrandbits stub: yields scripted values, then a constant."""
 
     def __init__(self, values, tail=1):
         self.values = list(values)
@@ -43,6 +51,9 @@ class FixedRng:
         if self.values:
             return self.values.pop(0)
         return self.tail
+
+    def getrandbits(self, _k):
+        return self.randrange(_k)
 
 
 class TestDeriveParams:
@@ -162,6 +173,59 @@ class TestSampleTrial:
             - params.q * 2 * 100 / 10
         )
         assert phi == expected
+
+
+@st.composite
+def ordered_cores(draw):
+    """(ordered core, Params) from a random bipartite graph or a C5 blow-up,
+    in guarantee or best-effort mode, sometimes with the support threshold
+    overridden."""
+    guarantee = draw(st.booleans())
+    low = 16 if guarantee else 2
+    if draw(st.booleans()):
+        g = c5_blowup(draw(st.integers(low // 2, 12)))
+    else:
+        g = random_bipartite(
+            draw(st.integers(low, 24)),
+            draw(st.integers(low, 24)),
+            draw(st.sampled_from([0.9, 1.0] if guarantee else [0.3, 0.7, 0.9, 1.0])),
+            draw(st.integers(0, 2**16)),
+        )
+    top = max(len(nbrs) for nbrs in g.adjacency)
+    if top < low:
+        reject()
+    d = draw(st.integers(low, top))
+    try:
+        og, _ = reduce_and_order(g, d)
+    except EmptyCoreError:
+        reject()
+    params = derive_params(d, guarantee)
+    threshold = draw(st.one_of(st.none(), st.integers(0, 3)))
+    if threshold is not None:
+        params = replace(params, threshold=threshold)
+    return og, params
+
+
+class TestSampleTrialOracle:
+    @settings(max_examples=150)
+    @given(ordered_cores(), st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+    def test_matches_reference_trial(self, core, seed, index):
+        og, params = core
+        ours, theirs = stream(seed, index), stream(seed, index)
+        assert sample_trial(og, params, ours) == reference_sample_trial(og, params, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    @given(
+        st.integers(16, 10**6),
+        st.integers(0, 10**4),
+        st.integers(0, 10**6),
+        st.integers(0, 10**4),
+    )
+    def test_potential_value_matches_fraction_chain(self, d, n_supported, layer_edges, n_sampled):
+        params = derive_params(d, False)
+        assert potential_value(n_supported, layer_edges, n_sampled, params) == (
+            reference_potential_value(n_supported, layer_edges, n_sampled, params)
+        )
 
 
 class TestGreedyIndependentSet:

@@ -135,6 +135,11 @@ class TestSubsetPredicates:
         assert not c5.is_independent([0, 1])
         assert c5.is_independent([])
 
+    @given(graphs(), st.data())
+    def test_is_independent_matches_edges_within(self, g, data):
+        subset = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
+        assert g.is_independent(subset) == (g.edges_within(subset) == 0)
+
 
 class TestBipartitePairReport:
     def test_k33_sides(self):
@@ -163,6 +168,22 @@ class TestBipartitePairReport:
         # 4 is adjacent to 0 only among I
         assert rep.valid
         assert rep.average_degree == Fraction(2 * rep.cross_edges, 3)
+
+    def test_leaves_neighbor_sets_unbuilt(self):
+        g = complete_bipartite(3, 3)
+        bipartite_pair_report(g, [0, 1], [3, 4, 5])
+        bipartite_pair_report(g, [0, 1], [2, 3])
+        assert "neighbor_sets" not in g.__dict__
+
+    @given(graphs(max_n=8), st.data())
+    def test_cross_edges_match_pair_count(self, g, data):
+        if g.n == 0:
+            return
+        side_i = data.draw(st.lists(st.integers(0, g.n - 1), max_size=5))
+        side_j = data.draw(st.lists(st.integers(0, g.n - 1), max_size=5))
+        rep = bipartite_pair_report(g, side_i, side_j)
+        expected = sum(1 for u in set(side_i) for v in set(side_j) if g.has_edge(u, v))
+        assert rep.cross_edges == expected
 
     @given(graphs(max_n=8), st.data())
     def test_valid_report_means_bipartition(self, g, data):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from densebip.rng import mix64, stream, stream_seed
+from densebip.rng import mix64, sampled_members, stream, stream_seed
 
 
 def test_stream_seed_frozen_values():
@@ -36,3 +36,21 @@ def test_streams_differ_across_indices_and_seeds():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         stream_seed(0, -1)
+
+
+@pytest.mark.parametrize(
+    "d", [1, 2, 3, 16, 64, 120, 200, 250, 1000, 1024, 4097, 2**40 + 3]
+)
+def test_sampled_members_replays_randrange(d):
+    for index in range(3):
+        ours, theirs = stream(d, index), stream(d, index)
+        picked = sampled_members(ours, range(500), d)
+        assert picked == [v for v in range(500) if theirs.randrange(d) == 0]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_sampled_members_keeps_vertex_order_and_rejects_bad_d():
+    vertices = [9, 4, 7, 0]
+    assert sampled_members(stream(0, 0), vertices, 1) == vertices
+    with pytest.raises(ValueError):
+        sampled_members(stream(0, 0), vertices, 0)
