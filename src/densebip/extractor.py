@@ -203,11 +203,7 @@ def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
         for y in index[x]:
             hits[y] += 1
     layer = [y for y in range(n) if hits[y] == ell]
-    if not layer:
-        return layer, 0
-    keep = frozenset(layer)
-    sets = og.graph.neighbor_sets
-    return layer, sum(len(keep & sets[y]) for y in layer) // 2
+    return layer, og.graph.edges_within(layer)
 
 
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
