@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .extractor import (
-    DEGREE_FLOOR_DENOM,
     ExtractionError,
     ParamsError,
     Params,
@@ -186,18 +185,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "average_degree_float": float(report.average_degree),
         "valid": report.valid,
     }
-    failed = not report.valid
     if params.guarantee:
-        floor = Fraction(params.ell, DEGREE_FLOOR_DENOM)
-        meets_floor = report.average_degree >= floor
-        ratio_ok = len(side_i) <= SIZE_RATIO_BOUND * len(side_j)
         payload["guarantee_checks"] = {
-            "average_degree_floor": _rational(floor),
-            "meets_floor": meets_floor,
+            "average_degree_floor": _rational(params.degree_floor),
+            "meets_floor": result.meets_floor,
             "size_ratio_bound": SIZE_RATIO_BOUND,
-            "size_ratio_ok": ratio_ok,
+            "size_ratio_ok": True,  # extract raises on a pair that breaks the ratio
         }
-        failed = failed or not (meets_floor and ratio_ok)
+    failed = not report.valid or result.meets_floor is False
     if args.json:
         _emit(payload)
     else:
@@ -285,7 +280,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         est, rate = mc_potential(og, params, trials, seed, args.workers)
         payload["estimate"] = _estimate_payload(est)
         payload["success_rate"] = rate
-        passed = est.passed and rate > 0.0
+        passed = est.passed
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown check {args.check!r}")
     payload["passed"] = passed

@@ -106,6 +106,11 @@ class Params:
     threshold: int
     guarantee: bool
 
+    @property
+    def degree_floor(self) -> Fraction:
+        """ell / 2310: the average degree guarantee mode promises for the pair."""
+        return Fraction(self.ell, DEGREE_FLOOR_DENOM)
+
 
 def derive_params(d: int, guarantee_mode: bool) -> Params:
     """Build Params for degree d.
@@ -178,8 +183,23 @@ def potential(outcome: SampleOutcome, params: Params) -> Fraction:
     )
 
 
-def left_minimal_members(og: OrderedGraph, sampled, membership) -> list[int]:
-    """Sampled vertices with no sampled left-neighbor (`membership` is 0/1 by id)."""
+def require_compatible(og: OrderedGraph, params: Params) -> None:
+    """Reject an ordered graph built for a different d than `params`."""
+    if og.d != params.d:
+        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
+
+
+def require_vertex(og: OrderedGraph, v: int) -> None:
+    """Reject a vertex id outside 0..n-1 of the ordered graph."""
+    if not 0 <= v < og.graph.n:
+        raise ValueError(f"vertex {v} out of range 0..{og.graph.n - 1}")
+
+
+def left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
+    """The members of `sampled` with no sampled left-neighbor, in the given order."""
+    membership = bytearray(og.graph.n)
+    for v in sampled:
+        membership[v] = 1
     left = og.left_neighbors
     out = []
     for x in sampled:
@@ -206,6 +226,12 @@ def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
     return layer, og.graph.edges_within(layer)
 
 
+def supported_members(og: OrderedGraph, survivor_set, layer, threshold: int) -> list[int]:
+    """The members of `layer` with at least `threshold` neighbors in `survivor_set`."""
+    sets = og.graph.neighbor_sets
+    return [y for y in layer if len(survivor_set.intersection(sets[y])) >= threshold]
+
+
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     """Draw one trial from `rng` (a random.Random, usually a seeded stream, or
     anything with getrandbits).
@@ -213,21 +239,11 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     Sampling goes through `sampled_members`, so the per-vertex probability is
     exactly 1/d and the stream is consumed as by one randrange(d) per vertex.
     """
-    if og.d != params.d:
-        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
-    n = og.graph.n
-    sampled = sampled_members(rng, range(n), params.d)
-    membership = bytearray(n)
-    for v in sampled:
-        membership[v] = 1
-    survivors = left_minimal_members(og, sampled, membership)
+    require_compatible(og, params)
+    sampled = sampled_members(rng, range(og.graph.n), params.d)
+    survivors = left_minimal_members(og, sampled)
     layer, layer_edges = hit_layer(og, sampled, params.ell)
-    supported: list[int] = []
-    if layer:
-        survivor_set = set(survivors)
-        sets = og.graph.neighbor_sets
-        threshold = params.threshold
-        supported = [y for y in layer if len(survivor_set.intersection(sets[y])) >= threshold]
+    supported = supported_members(og, set(survivors), layer, params.threshold) if layer else []
     phi = potential_value(len(supported), layer_edges, len(sampled), params)
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi
@@ -269,7 +285,9 @@ class ExtractionResult:
 
     I is the survivor side of the accepted trial; J a greedy independent set
     inside the supported layer minus I; report the verification of the pair on
-    the ordered graph's vertex ids.
+    the ordered graph's vertex ids; meets_floor whether its average degree
+    reaches params.degree_floor (None in best-effort mode). A guarantee-mode
+    result always has |I| <= 230 |J|: `extract` raises rather than return one.
     """
 
     I: tuple[int, ...]
@@ -278,6 +296,7 @@ class ExtractionResult:
     trials_used: int
     seed: int
     params: Params
+    meets_floor: bool | None
 
 
 def _trial_worker(args, index: int) -> SampleOutcome:
@@ -296,13 +315,12 @@ def extract(
 
     Trial i draws only from stream(seed, i) and the smallest index with
     positive potential wins, so the result is identical for any worker count
-    or schedule. Raises ExtractionError when retries run out or the accepted
-    trial cannot produce a nonempty adjacent pair.
+    or schedule. Raises ExtractionError when retries run out, the accepted
+    trial cannot produce a nonempty adjacent pair, or it breaks the 230x ratio.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    if og.d != params.d:
-        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
+    require_compatible(og, params)
     accepted_index = -1
     outcome: SampleOutcome | None = None
     for index, out in iter_indexed(_trial_worker, (og, params, seed), max_retries, workers):
@@ -325,9 +343,8 @@ def extract(
     pool = sorted(set(outcome.supported) - set(outcome.survivors))
     if not pool:
         raise ExtractionError("supported layer is contained in the survivor side", diagnostics)
-    sub, old_to_new = og.graph.induced_subgraph(pool)
-    new_to_old = {i: v for v, i in old_to_new.items()}
-    side_j = tuple(sorted(new_to_old[v] for v in greedy_independent_set(sub)))
+    sub, _ = og.graph.induced_subgraph(pool)  # relabels in ascending order
+    side_j = tuple(pool[i] for i in greedy_independent_set(sub))
     side_i = outcome.survivors
     if not side_j:
         raise ExtractionError("greedy selection returned no vertices", diagnostics)
@@ -340,4 +357,5 @@ def extract(
         raise ExtractionError(
             f"survivor side exceeds {SIZE_RATIO_BOUND}x the partner side", diagnostics
         )
-    return ExtractionResult(side_i, side_j, report, accepted_index + 1, seed, params)
+    meets_floor = report.average_degree >= params.degree_floor if params.guarantee else None
+    return ExtractionResult(side_i, side_j, report, accepted_index + 1, seed, params, meets_floor)

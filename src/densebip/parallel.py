@@ -28,7 +28,6 @@ def iter_indexed(
     args: Any,
     count: int,
     workers: int = 1,
-    block: int | None = None,
 ) -> Iterator[tuple[int, Any]]:
     """Yield (index, fn(args, index)) for index in range(count), in order.
 
@@ -42,7 +41,7 @@ def iter_indexed(
         for i in range(count):
             yield i, fn(args, i)
         return
-    block = block or max(32, workers * 8)
+    block = max(32, workers * 8)
     with cf.ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(fn, args)
     ) as pool:

@@ -62,9 +62,6 @@ class OrderedGraph:
                 holders[x].append(y)
         return tuple(tuple(h) for h in holders)
 
-    def max_left_degree(self) -> int:
-        return max((len(left) for left in self.left_neighbors), default=0)
-
 
 def _peel(
     adjacency: Sequence[Sequence[int]], deg: list[int], alive: list[bool], stack: list[int], d: int
@@ -128,25 +125,18 @@ def minimal_min_degree_subgraph(
     core = d_core(g, d)
     if not core:
         raise EmptyCoreError(f"the {d}-core of the input is empty")
-    sub, old_to_new = g.induced_subgraph(core)
-    k = sub.n
+    n = g.n
+    adjacency = g.adjacency
+    alive = [False] * n
+    for v in core:
+        alive[v] = True
+    deg = [0] * n
+    for v in core:
+        deg[v] = sum(1 for w in adjacency[v] if alive[w])
 
-    scan: list[int] = []
-    if scan_order is not None:
-        seen = set()
-        for v in scan_order:
-            local = old_to_new.get(v)
-            if local is not None and local not in seen:
-                scan.append(local)
-                seen.add(local)
-        scan.extend(v for v in range(k) if v not in seen)
-    else:
-        scan = list(range(k))
-
-    adjacency = sub.adjacency
-    deg = [len(nbrs) for nbrs in adjacency]
-    alive = [True] * k
-    live = k
+    # scan_order first, then the rest of the core; repeats and ids outside the core are skipped
+    scan = dict.fromkeys(v for v in (*(scan_order or ()), *core) if 0 <= v < n and alive[v])
+    live = len(core)
     for v in scan:
         if not alive[v]:
             continue
@@ -162,10 +152,7 @@ def minimal_min_degree_subgraph(
             # Every degree is exactly d, so the peel took exactly v's
             # component: the remainder is connected and no deletion can succeed.
             break
-    survivors = [v for v in range(k) if alive[v]]
-
-    new_to_old = {i: v for v, i in old_to_new.items()}
-    return g.induced_subgraph([new_to_old[v] for v in survivors])
+    return g.induced_subgraph([v for v in core if alive[v]])
 
 
 def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:

@@ -15,12 +15,17 @@ from itertools import combinations
 from typing import Sequence
 
 from .extractor import (
+    GUARANTEE_MIN_DEGREE,
+    Q_OVER_P_FLOOR,
     Params,
     derive_params,
     exact_q,
     hit_layer,
     left_minimal_members,
+    require_compatible,
+    require_vertex,
     sample_trial,
+    supported_members,
     survival_probability,
     target_hit_count,
 )
@@ -118,21 +123,16 @@ def log_spaced_ints(lo: int, hi: int, count: int) -> list[int]:
 
 def check_q_bound(d: int) -> QBoundCheck:
     """q/p at the hit target for degree d; the extraction constants need >= 0.35."""
-    if d < 16:
-        raise ValueError("the bound is only claimed for d >= 16")
+    if d < GUARANTEE_MIN_DEGREE:
+        raise ValueError(f"the bound is only claimed for d >= {GUARANTEE_MIN_DEGREE}")
     ell = target_hit_count(d)
     ratio = exact_q(d, ell) * d
-    return QBoundCheck(d, ell, ratio, ratio >= 0.35)
+    return QBoundCheck(d, ell, ratio, ratio >= float(Q_OVER_P_FLOOR))
 
 
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError("trials must be at least 1")
-
-
-def _require_compatible(og: OrderedGraph, params: Params) -> None:
-    if og.d != params.d:
-        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
 
 
 def _forced_trial(og: OrderedGraph, params: Params, y: int, forced, rng) -> ConditionalTrial:
@@ -152,13 +152,9 @@ def draw_conditional_trial(og: OrderedGraph, params: Params, y: int, rng) -> Con
 
 
 def _conditional_outcome(og: OrderedGraph, params: Params, trial: ConditionalTrial) -> tuple[bool, int]:
-    membership = bytearray(og.graph.n)
-    for v in trial.sampled:
-        membership[v] = 1
-    survivor_set = set(left_minimal_members(og, trial.sampled, membership))
-    neighbor_hits = sum(1 for w in og.graph.adjacency[trial.vertex] if w in survivor_set)
+    survivor_set = set(left_minimal_members(og, trial.sampled))
     missing = sum(1 for x in trial.forced if x not in survivor_set)
-    return neighbor_hits >= params.threshold, missing
+    return bool(supported_members(og, survivor_set, (trial.vertex,), params.threshold)), missing
 
 
 def _conditional_worker(args, index: int) -> tuple[bool, int]:
@@ -176,7 +172,8 @@ def mc_conditional(
     the rest sampled, which is valid because coordinates are independent.
     """
     _require_trials(trials)
-    _require_compatible(og, params)
+    require_compatible(og, params)
+    require_vertex(og, y)
     if len(og.graph.adjacency[y]) < params.d:
         raise ValueError(f"vertex {y} has degree below d={params.d}")
     successes = 0
@@ -213,7 +210,8 @@ def mc_conditional_sweep(
     still has to beat 1/5.
     """
     _require_trials(trials)
-    _require_compatible(og, params)
+    require_compatible(og, params)
+    require_vertex(og, y)
     if len(og.graph.adjacency[y]) < params.d:
         raise ValueError(f"vertex {y} has degree below d={params.d}")
     subsets = tuple(combinations(og.candidate_sets[y], params.ell))
@@ -237,7 +235,8 @@ def mc_markov_bound(
 ) -> MarkovBound:
     """Attrition statistics of the forced subset under the same conditioning."""
     _require_trials(trials)
-    _require_compatible(og, params)
+    require_compatible(og, params)
+    require_vertex(og, y)
     total_missing = 0
     high_missing = 0
     cutoff = 0.9 * params.ell
@@ -263,7 +262,8 @@ def mc_per_vertex_survival(
     survives, so the estimate is exactly 1 there.
     """
     _require_trials(trials)
-    _require_compatible(og, params)
+    require_compatible(og, params)
+    require_vertex(og, x)
     successes = 0
     for _, r in iter_indexed(_survival_worker, (og, params, x, seed), trials, workers):
         successes += r
@@ -287,7 +287,7 @@ def mc_edge_identity(
     candidate sets for layer membership to be pairwise independent.
     """
     _require_trials(trials)
-    _require_compatible(og, params)
+    require_compatible(og, params)
     if not og.graph.is_triangle_free():
         raise ValueError("edge identity requires a triangle-free graph")
     values = [
@@ -313,7 +313,7 @@ def mc_potential(
     passes when the interval is clear of zero.
     """
     _require_trials(trials)
-    _require_compatible(og, params)
+    require_compatible(og, params)
     potentials = [v for _, v in iter_indexed(_potential_worker, (og, params, seed), trials, workers)]
     successes = sum(1 for v in potentials if v > 0)
     mu, low, high = mean_interval([float(v) for v in potentials])

@@ -9,7 +9,7 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
-from densebip.extractor import Params, SampleOutcome, left_minimal_members
+from densebip.extractor import Params, SampleOutcome
 from densebip.graph import Graph, from_edge_list
 from densebip.reducer import EmptyCoreError, OrderedGraph
 
@@ -205,7 +205,14 @@ def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutco
         if randrange(d) == 0:
             membership[v] = 1
             sampled.append(v)
-    survivors = left_minimal_members(og, sampled, membership)
+    left = og.left_neighbors
+    survivors = []
+    for x in sampled:
+        for w in left[x]:
+            if membership[w]:
+                break
+        else:
+            survivors.append(x)
     hits = [0] * n
     index = og.candidate_index
     for x in sampled:

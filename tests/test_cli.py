@@ -109,6 +109,46 @@ class TestExtract:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_floor_failure_exits_1_with_full_payload(self, k16_file, capsys, monkeypatch):
+        monkeypatch.setattr("densebip.extractor.DEGREE_FLOOR_DENOM", 1)
+        code, out, _ = run(
+            capsys, "extract", "--in", k16_file, "--d", "16",
+            "--guarantee", "--seed", "0", "--json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert set(payload) == {
+            "I", "I_size", "J", "J_size", "average_degree", "average_degree_float",
+            "cross_edges", "guarantee_checks", "input_sha256", "params", "reduced_m",
+            "reduced_n", "seed", "trials_used", "valid",
+        }
+        assert payload["valid"] is True
+        assert payload["average_degree"] == "32/17"
+        assert payload["guarantee_checks"] == {
+            "average_degree_floor": "2/1",
+            "meets_floor": False,
+            "size_ratio_bound": 230,
+            "size_ratio_ok": True,
+        }
+
+    def test_ratio_failure_exits_1_with_error_payload(self, k16_file, capsys, monkeypatch):
+        monkeypatch.setattr("densebip.extractor.SIZE_RATIO_BOUND", 0)
+        code, out, _ = run(
+            capsys, "extract", "--in", k16_file, "--d", "16",
+            "--guarantee", "--seed", "0", "--json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert set(payload) == {"diagnostics", "error", "input_sha256", "params", "seed"}
+        assert payload["error"] == "survivor side exceeds 0x the partner side"
+        diagnostics = payload["diagnostics"]
+        assert set(diagnostics) == {
+            "layer", "sampled", "seed", "supported", "survivors", "trial_index",
+        }
+        # the pair of the unpatched run: trial 0, |I| = 1 against |J| = 16
+        assert diagnostics["trial_index"] == 0 and diagnostics["seed"] == 0
+        assert diagnostics["survivors"] == 1 and diagnostics["supported"] >= 16
+
     def test_reported_ids_follow_the_original_graph(self, tmp_path, capsys):
         # vertex 0 is a pendant, so the reduction shifts every surviving id
         edges = [(0, 1)] + [(1 + i, 17 + j) for i in range(16) for j in range(16)]

@@ -283,6 +283,40 @@ class TestExtract:
         sub, _ = og.graph.induced_subgraph(pool)
         assert len(result.J) >= Fraction(sub.n) / (sub.average_degree() + 1)
 
+    def test_partner_side_is_the_greedy_set_of_the_pool(self):
+        # the pool's greedy set, mapped back to core ids through an explicit inverse
+        for g, d in ((c5_blowup(16), 32), (random_bipartite(60, 60, 0.5, 1), 16)):
+            og, _ = reduce_and_order(g, d)
+            params = derive_params(d, True)
+            result = extract(og, params, seed=5, max_retries=2000)
+            out = sample_trial(og, params, stream(5, result.trials_used - 1))
+            pool = sorted(set(out.supported) - set(out.survivors))
+            sub, old_to_new = og.graph.induced_subgraph(pool)
+            new_to_old = {i: v for v, i in old_to_new.items()}
+            expected = tuple(sorted(new_to_old[i] for i in greedy_independent_set(sub)))
+            assert len(expected) >= 2
+            assert result.J == expected
+
+    def test_meets_floor_is_the_report_verdict(self, monkeypatch):
+        runs = [(complete_bipartite(k, k), k) for k in (16, 24, 32, 48)] + [(c5_blowup(16), 32)]
+        for g, d in runs:
+            og, _ = reduce_and_order(g, d)
+            for guarantee in (True, False):
+                params = derive_params(d, guarantee)
+                result = extract(og, params, seed=5, max_retries=2000)
+                if guarantee:
+                    average = result.report.average_degree
+                    assert result.meets_floor == (average >= params.degree_floor)
+                    assert params.degree_floor == Fraction(params.ell, 2310)
+                else:
+                    assert result.meets_floor is None
+        # a floor above the pair's average degree (32/17 here) flips the verdict
+        monkeypatch.setattr("densebip.extractor.DEGREE_FLOOR_DENOM", 1)
+        og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
+        result = extract(og, derive_params(16, True), seed=0)
+        assert result.report.average_degree == Fraction(32, 17)
+        assert result.meets_floor is False
+
     def test_retries_exhausted(self):
         og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
         params = derive_params(16, True)

@@ -119,11 +119,13 @@ class TestMinimalMinDegreeSubgraph:
     @given(graphs(), st.integers(0, 4), st.data())
     def test_matches_restart_oracle(self, g, d, data):
         scan = data.draw(st.permutations(range(g.n)))
+        # repeats and ids outside 0..n-1 are skipped, a negative one included
+        messy = data.draw(st.lists(st.integers(-3, g.n + 2), max_size=2 * g.n + 4))
         if not d_core(g, d):
             with pytest.raises(EmptyCoreError):
                 minimal_min_degree_subgraph(g, d, scan)
             return
-        for order in (None, scan):
+        for order in (None, scan, messy):
             assert minimal_min_degree_subgraph(g, d, order) == restart_minimal_subgraph(g, d, order)
 
     def test_corpus_properties(self):

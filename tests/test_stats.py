@@ -204,6 +204,24 @@ class TestConditional:
             mc_conditional(og, params, 0, 10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda og, params, v: mc_conditional(og, params, v, 10, seed=0),
+        lambda og, params, v: mc_conditional_sweep(og, params, v, 10, seed=0),
+        lambda og, params, v: mc_markov_bound(og, params, v, 10, seed=0),
+        lambda og, params, v: mc_per_vertex_survival(og, params, v, 10, seed=0),
+    ],
+    ids=["conditional", "conditional_sweep", "markov_bound", "per_vertex_survival"],
+)
+def test_out_of_range_vertex_rejected(driver):
+    og, _ = reduce_and_order(c5_blowup(20), 40)
+    params = derive_params(40, True)
+    for v in (-1, og.graph.n):
+        with pytest.raises(ValueError, match="out of range"):
+            driver(og, params, v)
+
+
 class TestConditionalSweep:
     def test_worst_subset_still_beats_one_fifth(self):
         og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
