@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +42,6 @@ from .graph import (
 from .oracle import DEFAULT_CAP, max_induced_bipartite_average_degree
 from .reducer import EmptyCoreError, OrderingError, reduce_and_order
 from .stats import (
-    Estimate,
     check_q_bound,
     mc_conditional,
     mc_edge_identity,
@@ -83,17 +83,6 @@ def _params_payload(params: Params) -> dict:
         "q_float": float(params.q),
         "threshold": params.threshold,
         "guarantee": params.guarantee,
-    }
-
-
-def _estimate_payload(est: Estimate) -> dict:
-    return {
-        "mean": est.mean,
-        "trials": est.trials,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "target": est.target,
-        "passed": est.passed,
     }
 
 
@@ -262,7 +251,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         y = _translate_vertex(mapping, args.y, 0)
         est = mc_conditional(og, params, y, trials, seed, args.workers)
         payload["vertex"] = inverse[y]
-        payload["estimate"] = _estimate_payload(est)
+        payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "survival":
         default_x = max(range(og.graph.n), key=lambda v: (len(og.left_neighbors[v]), -v))
@@ -270,15 +259,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
         est = mc_per_vertex_survival(og, params, x, trials, seed, args.workers)
         payload["vertex"] = inverse[x]
         payload["left_degree"] = len(og.left_neighbors[x])
-        payload["estimate"] = _estimate_payload(est)
+        payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "edge-identity":
         est = mc_edge_identity(og, params, trials, seed, args.workers)
-        payload["estimate"] = _estimate_payload(est)
+        payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "potential":
         est, rate = mc_potential(og, params, trials, seed, args.workers)
-        payload["estimate"] = _estimate_payload(est)
+        payload["estimate"] = asdict(est)
         payload["success_rate"] = rate
         passed = est.passed
     else:  # pragma: no cover - argparse restricts the choices

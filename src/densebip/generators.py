@@ -15,8 +15,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: min degree min(a, b), triangle-free."""
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one vertex")
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return from_edge_list(a + b, edges)
+    return from_edge_list(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def random_bipartite(n1: int, n2: int, rho: float, seed: int) -> Graph:
@@ -25,9 +24,9 @@ def random_bipartite(n1: int, n2: int, rho: float, seed: int) -> Graph:
         raise ValueError("side sizes must be nonnegative")
     _check_probability(rho)
     rng = stream(seed, 0)
-    edges = [
+    edges = (
         (i, n1 + j) for i in range(n1) for j in range(n2) if rng.random() < rho
-    ]
+    )
     return from_edge_list(n1 + n2, edges)
 
 
@@ -39,24 +38,11 @@ def c5_blowup(t: int) -> Graph:
     """
     if t < 1:
         raise ValueError("blow-up factor must be at least 1")
-    edges = []
-    for block in range(5):
-        nxt = (block + 1) % 5
-        for i in range(t):
-            for j in range(t):
-                edges.append((block * t + i, nxt * t + j))
+    edges = (
+        (block * t + i, (block + 1) % 5 * t + j)
+        for block in range(5) for i in range(t) for j in range(t)
+    )
     return from_edge_list(5 * t, edges)
-
-
-def _first_triangle(nbrs: list[set[int]], n: int) -> tuple[int, int, int] | None:
-    for u in range(n):
-        for v in sorted(nbrs[u]):
-            if v <= u:
-                continue
-            above = [w for w in nbrs[u] & nbrs[v] if w > v]
-            if above:
-                return u, v, min(above)
-    return None
 
 
 def binomial_triangle_scrubbed(n: int, rho: float, seed: int) -> Graph:
@@ -65,6 +51,11 @@ def binomial_triangle_scrubbed(n: int, rho: float, seed: int) -> Graph:
     While a triangle exists, delete the lexicographically smallest edge of the
     lexicographically smallest triangle; one deletion per triangle keeps the
     graph dense. Deterministic per seed.
+
+    One pass over the edges (u, v), u < v, in lexicographic order does this:
+    deleting an edge never creates a triangle, so no earlier pair gains one,
+    and deleting (u, v) removes every triangle whose two smallest vertices
+    are u and v.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -76,12 +67,9 @@ def binomial_triangle_scrubbed(n: int, rho: float, seed: int) -> Graph:
             if rng.random() < rho:
                 nbrs[u].add(v)
                 nbrs[v].add(u)
-    while True:
-        tri = _first_triangle(nbrs, n)
-        if tri is None:
-            break
-        u, v, _ = tri
-        nbrs[u].discard(v)
-        nbrs[v].discard(u)
-    edges = [(u, v) for u in range(n) for v in nbrs[u] if u < v]
-    return from_edge_list(n, edges)
+    for u in range(n):
+        for v in sorted(nbrs[u]):
+            if v > u and any(w > v for w in nbrs[u] & nbrs[v]):
+                nbrs[u].discard(v)
+                nbrs[v].discard(u)
+    return from_edge_list(n, ((u, v) for u in range(n) for v in nbrs[u] if u < v))

@@ -88,9 +88,8 @@ class Graph:
         """
         vs = _vertex_subset(self.n, vertices)
         old_to_new = {v: i for i, v in enumerate(vs)}
-        keep = set(vs)
         adjacency = tuple(
-            tuple(old_to_new[w] for w in self.adjacency[v] if w in keep) for v in vs
+            tuple(old_to_new[w] for w in self.adjacency[v] if w in old_to_new) for v in vs
         )
         m = sum(len(nbrs) for nbrs in adjacency) // 2
         return Graph(len(vs), adjacency, m), old_to_new
@@ -116,19 +115,26 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
-    seen: set[tuple[int, int]] = set()
+    lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
-    lists: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
         lists[u].append(v)
         lists[v].append(u)
-    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in lists)
-    return Graph(n, adjacency, len(seen))
+    adjacency = tuple(tuple(sorted(set(nbrs))) for nbrs in lists)
+    return Graph(n, adjacency, sum(map(len, adjacency)) // 2)
+
+
+def _edge(line: str) -> tuple[int, int]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphError(f"bad edge line {line!r}, expected 'u v'")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise GraphError(f"bad edge line {line!r}: {exc}") from None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -136,7 +142,9 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are ignored. Vertex ids are
     0-based and whitespace-separated. Each edge is listed once, in either
-    orientation; a repeated edge is an error, not collapsed.
+    orientation; a repeated edge is an error, not collapsed. The first
+    malformed, out-of-range or self-loop edge line is the one reported; a
+    repeat is reported only when every line passes those checks.
     """
     rows = []
     for raw in text.splitlines():
@@ -157,20 +165,11 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError("edge count must be nonnegative")
     if len(rows) - 1 != m:
         raise GraphError(f"header declares {m} edges, found {len(rows) - 1} edge lines")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {line!r}, expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise GraphError(f"bad edge line {line!r}: {exc}") from None
-    g = from_edge_list(n, edges)
+    g = from_edge_list(n, map(_edge, rows[1:]))
     if g.m != m:
-        # from_edge_list collapsed a repeat; find the first one to name it
+        # from_edge_list collapsed a repeat; parse again to name the first one
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for u, v in map(_edge, rows[1:]):
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphError(f"duplicate edge ({u},{v})")

@@ -135,6 +135,16 @@ def _require_trials(trials: int) -> None:
         raise ValueError("trials must be at least 1")
 
 
+def _require_conditionable(og: OrderedGraph, params: Params, y: int, trials: int) -> None:
+    """Checks shared by the conditioned drivers: forcing an ell-subset of y's
+    candidate set needs y to have degree at least d."""
+    _require_trials(trials)
+    require_compatible(og, params)
+    require_vertex(og, y)
+    if len(og.graph.adjacency[y]) < params.d:
+        raise ValueError(f"vertex {y} has degree below d={params.d}")
+
+
 def _forced_trial(og: OrderedGraph, params: Params, y: int, forced, rng) -> ConditionalTrial:
     """Complete a trial whose candidate-set coordinates are pinned to `forced`."""
     blocked = set(og.candidate_sets[y])
@@ -171,11 +181,7 @@ def mc_conditional(
     Conditioning is operational: the candidate-set coordinates are forced and
     the rest sampled, which is valid because coordinates are independent.
     """
-    _require_trials(trials)
-    require_compatible(og, params)
-    require_vertex(og, y)
-    if len(og.graph.adjacency[y]) < params.d:
-        raise ValueError(f"vertex {y} has degree below d={params.d}")
+    _require_conditionable(og, params, y, trials)
     successes = 0
     for _, (ok, _) in iter_indexed(_conditional_worker, (og, params, y, seed), trials, workers):
         successes += ok
@@ -209,11 +215,7 @@ def mc_conditional_sweep(
     subset achieving it. The support claim is per-subset, so the worst one
     still has to beat 1/5.
     """
-    _require_trials(trials)
-    require_compatible(og, params)
-    require_vertex(og, y)
-    if len(og.graph.adjacency[y]) < params.d:
-        raise ValueError(f"vertex {y} has degree below d={params.d}")
+    _require_conditionable(og, params, y, trials)
     subsets = tuple(combinations(og.candidate_sets[y], params.ell))
     if len(subsets) > cap:
         raise ValueError(f"{len(subsets)} forced subsets exceed the sweep cap {cap}")
@@ -234,9 +236,7 @@ def mc_markov_bound(
     og: OrderedGraph, params: Params, y: int, trials: int, seed: int, workers: int = 1
 ) -> MarkovBound:
     """Attrition statistics of the forced subset under the same conditioning."""
-    _require_trials(trials)
-    require_compatible(og, params)
-    require_vertex(og, y)
+    _require_conditionable(og, params, y, trials)
     total_missing = 0
     high_missing = 0
     cutoff = 0.9 * params.ell

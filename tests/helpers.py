@@ -10,8 +10,10 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from densebip.extractor import Params, SampleOutcome
-from densebip.graph import Graph, from_edge_list
+from densebip.generators import _check_probability
+from densebip.graph import Graph, GraphError, from_edge_list
 from densebip.reducer import EmptyCoreError, OrderedGraph
+from densebip.rng import stream
 
 
 def cycle_graph(n: int) -> Graph:
@@ -35,6 +37,61 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
+    return from_edge_list(n, edges)
+
+
+def pairset_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Reference for `from_edge_list`: a set of normalised pairs first, then
+    the adjacency lists filled from it."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        seen.add((u, v) if u < v else (v, u))
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for u, v in seen:
+        lists[u].append(v)
+        lists[v].append(u)
+    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in lists)
+    return Graph(n, adjacency, len(seen))
+
+
+def _first_triangle(nbrs: list[set[int]], n: int) -> tuple[int, int, int] | None:
+    for u in range(n):
+        for v in sorted(nbrs[u]):
+            if v <= u:
+                continue
+            above = [w for w in nbrs[u] & nbrs[v] if w > v]
+            if above:
+                return u, v, min(above)
+    return None
+
+
+def restart_triangle_scrub(n: int, rho: float, seed: int) -> Graph:
+    """Reference for `binomial_triangle_scrubbed`: after every deletion the
+    triangle search starts again from vertex 0."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    _check_probability(rho)
+    rng = stream(seed, 0)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < rho:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    while True:
+        tri = _first_triangle(nbrs, n)
+        if tri is None:
+            break
+        u, v, _ = tri
+        nbrs[u].discard(v)
+        nbrs[v].discard(u)
+    edges = [(u, v) for u in range(n) for v in nbrs[u] if u < v]
     return from_edge_list(n, edges)
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from densebip.generators import (
     binomial_triangle_scrubbed,
@@ -7,7 +9,7 @@ from densebip.generators import (
     random_bipartite,
 )
 
-from helpers import cycle_graph, is_bipartite
+from helpers import cycle_graph, is_bipartite, restart_triangle_scrub
 
 
 class TestCompleteBipartite:
@@ -92,6 +94,10 @@ class TestBinomialScrubbed:
         a = binomial_triangle_scrubbed(12, 0.4, 9)
         b = binomial_triangle_scrubbed(12, 0.4, 9)
         assert a == b
+
+    @given(st.integers(0, 30), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+    def test_matches_restart_reference(self, n, rho, seed):
+        assert binomial_triangle_scrubbed(n, rho, seed) == restart_triangle_scrub(n, rho, seed)
 
 
 def test_all_generator_outputs_are_canonical():

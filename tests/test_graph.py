@@ -18,10 +18,18 @@ from helpers import (
     cycle_graph,
     graphs,
     naive_triangle_free,
+    pairset_from_edge_list,
     path_graph,
     petersen_graph,
     random_graph,
 )
+
+
+def _built(build, n, edges):
+    try:
+        return build(n, iter(edges))
+    except GraphError as exc:
+        return str(exc)
 
 
 class TestFromEdgeList:
@@ -52,6 +60,19 @@ class TestFromEdgeList:
     def test_m_is_half_adjacency_sum(self):
         g = complete_bipartite(3, 4)
         assert sum(len(a) for a in g.adjacency) == 2 * g.m
+
+    @given(st.data())
+    def test_matches_pair_set_reference(self, data):
+        n = data.draw(st.integers(2, 9))
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+        repeats = data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+        edges = data.draw(st.permutations(pairs + [(v, u) for u, v in repeats] + repeats))
+        if data.draw(st.booleans()):
+            # one faulty edge somewhere: both builders must name the same one
+            bad = data.draw(st.sampled_from([(0, n), (-1, 0), (1, 1)]))
+            edges.insert(data.draw(st.integers(0, len(edges))), bad)
+        assert _built(from_edge_list, n, edges) == _built(pairset_from_edge_list, n, edges)
 
 
 class TestMeasurements:
@@ -231,6 +252,23 @@ class TestSerialization:
             parse_edge_list("3 3\n0 1\n1 0\n1 2\n")
         with pytest.raises(GraphError, match=r"duplicate edge \(0,1\)"):
             parse_edge_list("3 2\n0 1\n0 1\n")
+
+    def test_first_faulty_edge_line_is_reported(self):
+        with pytest.raises(GraphError, match="out of range"):
+            parse_edge_list("3 2\n0 5\nx y\n")
+        with pytest.raises(GraphError, match="bad edge line 'x y'"):
+            parse_edge_list("3 2\nx y\n0 5\n")
+        with pytest.raises(GraphError, match="self-loop"):
+            parse_edge_list("3 2\n2 2\n0 1 2\n")
+        with pytest.raises(GraphError, match="bad edge line '0 1 2'"):
+            parse_edge_list("3 2\n0 1 2\n2 2\n")
+
+    def test_first_repeat_is_named(self):
+        with pytest.raises(GraphError, match=r"duplicate edge \(3,2\)"):
+            parse_edge_list("4 5\n0 1\n2 3\n3 2\n1 0\n0 1\n")
+        # a repeat is named only once every line parses and is in range
+        with pytest.raises(GraphError, match="out of range"):
+            parse_edge_list("3 3\n0 1\n0 1\n0 7\n")
 
     def test_hash_is_canonical(self):
         a = from_edge_list(3, [(0, 1), (1, 2)])

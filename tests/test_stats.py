@@ -158,11 +158,15 @@ class TestConditional:
         est = mc_conditional(og, params, 3, 60, seed=5)
         assert est.mean == 1.0
 
-    def test_low_degree_vertex_rejected(self):
+    @pytest.mark.parametrize(
+        "driver", [mc_conditional, mc_conditional_sweep, mc_markov_bound],
+        ids=lambda f: f.__name__,
+    )
+    def test_low_degree_vertex_rejected(self, driver):
         og = star_ordered(3, 3)
         params = Params(3, 3, Fraction(1, 3), Fraction(exact_q(3, 3)), 1, False)
-        with pytest.raises(ValueError):
-            mc_conditional(og, params, 0, 10, seed=0)
+        with pytest.raises(ValueError, match="degree below d=3"):
+            driver(og, params, 0, 10, seed=0)
 
     def test_zero_trials_rejected(self):
         og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
