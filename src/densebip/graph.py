@@ -9,9 +9,13 @@ processes without synchronization.
 from __future__ import annotations
 
 import hashlib
+import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import pairwise, repeat, starmap
+from operator import add, mul
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -42,6 +46,11 @@ class Graph:
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def _sha256(self) -> str:
+        # read through canonical_sha256; load_graph fills it from the file's bytes
+        return hashlib.sha256(format_edge_list(self).encode("ascii")).hexdigest()
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -127,21 +136,34 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adjacency, sum(map(len, adjacency)) // 2)
 
 
-def _edge(line: str) -> tuple[int, int]:
+# int() alone would also take "1_0", "+1" and non-ASCII digits such as "٣"
+_ID = re.compile(r"-?[0-9]+")
+
+
+def _pair(line: str, kind: str, shape: str) -> tuple[int, int]:
     parts = line.split()
     if len(parts) != 2:
-        raise GraphError(f"bad edge line {line!r}, expected 'u v'")
+        raise GraphError(f"bad {kind} line {line!r}, expected {shape!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        pair = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise GraphError(f"bad edge line {line!r}: {exc}") from None
+        raise GraphError(f"bad {kind} line {line!r}: {exc}") from None
+    for token in parts:
+        if not _ID.fullmatch(token):
+            raise GraphError(f"bad {kind} line {line!r}: {token!r} is not ASCII decimal")
+    return pair
+
+
+def _edge(line: str) -> tuple[int, int]:
+    return _pair(line, "edge", "u v")
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the on-disk format: a header line "n m", then m lines "u v".
 
-    Blank lines and lines starting with '#' are ignored. Vertex ids are
-    0-based and whitespace-separated. Each edge is listed once, in either
+    Blank lines and lines starting with '#' are ignored. Numbers are ASCII
+    decimal, optionally with a leading '-'; vertex ids are 0-based and
+    whitespace-separated. Each edge is listed once, in either
     orientation; a repeated edge is an error, not collapsed. The first
     malformed, out-of-range or self-loop edge line is the one reported; a
     repeat is reported only when every line passes those checks.
@@ -154,13 +176,7 @@ def parse_edge_list(text: str) -> Graph:
         rows.append(line)
     if not rows:
         raise GraphError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise GraphError(f"bad header line {rows[0]!r}, expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphError(f"bad header line {rows[0]!r}: {exc}") from None
+    n, m = _pair(rows[0], "header", "n m")
     if m < 0:
         raise GraphError("edge count must be nonnegative")
     if len(rows) - 1 != m:
@@ -184,8 +200,63 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
+
+
+def _canonical_graph(data: bytes) -> Graph | None:
+    """The graph whose `format_edge_list` text is exactly `data`, with at least
+    one edge; None for any other input.
+
+    Every check runs over the whole input in C, with no per-line objects. On
+    success the sha256 of `data` is the canonical hash, so it is cached too.
+    """
+    lines = data.count(b"\n")
+    # every line is digits, one space, digits, newline, and the last one ends
+    if lines < 2 or data.translate(None, b"0123456789") != b" \n" * lines:
+        return None
+    if (data[:1] == b"0" and data[1:2].isdigit()) or _LEADING_ZERO.search(data):
+        return None
+    try:
+        nums = array("q", map(int, data.split()))
+    except OverflowError:
+        return None
+    if len(nums) != 2 * lines:  # an empty number somewhere
+        return None
+    n, m = nums[0], nums[1]
+    us, vs = nums[2::2], nums[3::2]
+    del nums  # not held while the adjacency lists grow: peak RSS
+    if m != lines - 1 or max(vs) >= n or not all(map(int.__lt__, us, vs)):
+        return None
+    # edges in strictly increasing (u, v) order: sorted and free of repeats
+    keys = map(add, map(mul, us, repeat(n)), vs)
+    if not all(starmap(int.__lt__, pairwise(keys))):
+        return None
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        lists[u].append(v)
+        lists[v].append(u)
+    # each list gets its smaller neighbours first, both runs ascending
+    g = Graph(n, tuple(map(tuple, lists)), m)
+    g.__dict__["_sha256"] = hashlib.sha256(data).hexdigest()
+    return g
+
+
 def load_graph(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    """Read an edge-list file.
+
+    Canonical bytes, as `save_graph` writes them, are recognised and built
+    without the line parser, and their own sha256 is the canonical hash. Any
+    other input goes through `parse_edge_list`, decoded as UTF-8.
+    """
+    data = Path(path).read_bytes()
+    g = _canonical_graph(data)
+    if g is not None:
+        return g
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
+    return parse_edge_list(text)
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
@@ -194,7 +265,7 @@ def save_graph(g: Graph, path: str | Path) -> None:
 
 def canonical_sha256(g: Graph) -> str:
     """Hash of the canonical serialization; stable across formatting variants."""
-    return hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest()
+    return g._sha256
 
 
 @dataclass(frozen=True)

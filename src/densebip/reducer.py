@@ -47,13 +47,6 @@ class OrderedGraph:
     d: int
 
     @cached_property
-    def position(self) -> tuple[int, ...]:
-        pos = [0] * self.graph.n
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        return tuple(pos)
-
-    @cached_property
     def candidate_index(self) -> tuple[tuple[int, ...], ...]:
         """candidate_index[x] lists the vertices whose candidate set contains x."""
         holders: list[list[int]] = [[] for _ in range(self.graph.n)]
@@ -165,12 +158,13 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     n = g.n
     deg = [len(nbrs) for nbrs in g.adjacency]
     removed = [False] * n
-    heap = [(deg[v], v) for v in range(n)]
+    # key deg*n + v orders like the pair (deg, v) but compares as one int
+    heap = [dv * n + v for v, dv in enumerate(deg)]
     heapq.heapify(heap)
     removal: list[int] = []
     degeneracy = 0
     while heap:
-        dv, v = heapq.heappop(heap)
+        dv, v = divmod(heapq.heappop(heap), n)
         if removed[v] or dv != deg[v]:
             continue
         removed[v] = True
@@ -180,7 +174,7 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
         for w in g.adjacency[v]:
             if not removed[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                heapq.heappush(heap, deg[w] * n + w)
     return tuple(reversed(removal)), degeneracy
 
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Iterable
 
 from hypothesis import strategies as st
 
 from densebip.extractor import Params, SampleOutcome
 from densebip.generators import _check_probability
-from densebip.graph import Graph, GraphError, from_edge_list
+from densebip.graph import Graph, GraphError, format_edge_list, from_edge_list, parse_edge_list
 from densebip.reducer import EmptyCoreError, OrderedGraph
 from densebip.rng import stream
 
@@ -58,6 +61,16 @@ def pairset_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         lists[v].append(u)
     adjacency = tuple(tuple(sorted(nbrs)) for nbrs in lists)
     return Graph(n, adjacency, len(seen))
+
+
+def reference_load_graph(path: str | Path) -> Graph:
+    """Reference for `load_graph`: every file through the line parser."""
+    return parse_edge_list(Path(path).read_text())
+
+
+def reference_canonical_sha256(g: Graph) -> str:
+    """Reference for `canonical_sha256`: always re-serialise, never cached."""
+    return hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest()
 
 
 def _first_triangle(nbrs: list[set[int]], n: int) -> tuple[int, int, int] | None:
@@ -170,6 +183,30 @@ def degeneracy_by_permutations(g: Graph) -> int:
         if worst < best:
             best = worst
     return best
+
+
+def tuple_key_degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
+    """Reference for `degeneracy_ordering`: the same heap keyed by (deg, v) tuples."""
+    n = g.n
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    removed = [False] * n
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    removal: list[int] = []
+    degeneracy = 0
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if removed[v] or dv != deg[v]:
+            continue
+        removed[v] = True
+        removal.append(v)
+        if dv > degeneracy:
+            degeneracy = dv
+        for w in g.adjacency[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return tuple(reversed(removal)), degeneracy
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -1,7 +1,8 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densebip.graph import (
@@ -10,7 +11,9 @@ from densebip.graph import (
     canonical_sha256,
     format_edge_list,
     from_edge_list,
+    load_graph,
     parse_edge_list,
+    save_graph,
 )
 from densebip.generators import complete_bipartite
 
@@ -22,6 +25,8 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_graph,
+    reference_canonical_sha256,
+    reference_load_graph,
 )
 
 
@@ -274,3 +279,150 @@ class TestSerialization:
         a = from_edge_list(3, [(0, 1), (1, 2)])
         b = parse_edge_list("# c\n3 2\n1 2\n0 1\n")
         assert canonical_sha256(a) == canonical_sha256(b)
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "0x1"])
+    def test_non_ascii_decimal_rejected(self, token):
+        with pytest.raises(GraphError, match="bad header line"):
+            parse_edge_list(f"{token} 0\n")
+        with pytest.raises(GraphError, match="bad header line"):
+            parse_edge_list(f"12 {token}\n")
+        with pytest.raises(GraphError, match="bad edge line"):
+            parse_edge_list(f"12 1\n{token} 11\n")
+        with pytest.raises(GraphError, match="bad edge line"):
+            parse_edge_list(f"12 1\n0 {token}\n")
+
+    def test_malformed_numbers_not_normalised(self):
+        with pytest.raises(GraphError, match=r"bad edge line '0 1_0': '1_0' is not ASCII decimal"):
+            parse_edge_list("11 2\n0 1_0\n+1 \u0663\n")
+
+    def test_negative_id_is_out_of_range(self):
+        with pytest.raises(GraphError, match=r"edge \(-1,2\) out of range for n=3"):
+            parse_edge_list("3 1\n-1 2\n")
+
+
+@pytest.fixture(scope="module")
+def el_path(tmp_path_factory):
+    # one file per module, rewritten by every hypothesis example
+    return tmp_path_factory.mktemp("load") / "g.el"
+
+
+def _loaded(load, path):
+    """(graph, hash, read on the fast path) or the GraphError message."""
+    try:
+        g = load(path)
+    except GraphError as exc:
+        return str(exc)
+    # only the canonical-input path fills the hash cache while loading
+    fast = "_sha256" in g.__dict__
+    return g, reference_canonical_sha256(g), fast
+
+
+def _graph_or_error(path, raw):
+    """Loading `raw` gives a Graph with its canonical hash, or a GraphError."""
+    path.write_bytes(raw)
+    got = _loaded(load_graph, path)
+    if not isinstance(got, str):
+        assert got[1] == canonical_sha256(got[0])
+
+
+def _near_canonical(data, g):
+    """One drawn edit of the canonical text of `g` (m >= 1): (name, bytes)."""
+    text = format_edge_list(g)
+    lines = text.splitlines()
+    head, body = text.split("\n", 1)
+    big = str(2**63)
+
+    def edit_line(i, f):
+        out = list(lines)
+        out[i] = f(out[i])
+        return "\n".join(out) + "\n"
+
+    i = data.draw(st.integers(1, len(lines) - 1))
+    j = data.draw(st.integers(1, len(lines) - 1))
+    u, v = lines[i].split()
+    swapped = list(lines)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    variants = {
+        "leading zero": edit_line(i, lambda line: "0" + line),
+        "leading zero in v": edit_line(i, lambda line: f"{u} 0{v}"),
+        "leading zero in header": "0" + text,
+        "doubled space": edit_line(i, lambda line: line.replace(" ", "  ")),
+        "leading space": edit_line(i, lambda line: " " + line),
+        "trailing space": edit_line(i, lambda line: line + " "),
+        "no u": edit_line(i, lambda line: f" {v}"),
+        "no v": edit_line(i, lambda line: f"{u} "),
+        "tab": edit_line(i, lambda line: line.replace(" ", "\t")),
+        "comment": edit_line(i, lambda line: "# note\n" + line),
+        "blank line": edit_line(i, lambda line: "\n" + line),
+        "crlf": text.replace("\n", "\r\n"),
+        "reversed": edit_line(i, lambda line: f"{v} {u}"),
+        "swapped": "\n".join(swapped) + "\n",
+        "duplicate": edit_line(i, lambda line: line + "\n" + line),
+        "duplicate, m counts it": "\n".join(
+            [f"{g.n} {g.m + 1}", *lines[1:i + 1], lines[i], *lines[i + 1:]]) + "\n",
+        "self-loop": edit_line(i, lambda line: f"{u} {u}"),
+        "out of range": edit_line(i, lambda line: f"{u} {g.n}"),
+        "negative": edit_line(i, lambda line: f"-{u} {v}"),
+        "wrong m": f"{g.n} {g.m + data.draw(st.sampled_from([-1, 1]))}\n{body}",
+        "huge m": f"{g.n} {big}\n{body}",
+        "no final newline": text[:-1],
+        "token >= 2**63": edit_line(i, lambda line: f"{u} {big}"),
+        "empty": "",
+        "header only": head + "\n",
+        "canonical": text,
+    }
+    name = data.draw(st.sampled_from(sorted(variants)))
+    return name, variants[name].encode("ascii")
+
+
+class TestLoadGraph:
+    @given(graphs(max_n=30))
+    def test_saved_graph_takes_fast_path(self, el_path, g):
+        save_graph(g, el_path)
+        loaded, digest, fast = _loaded(load_graph, el_path)
+        assert fast == (g.m > 0)
+        assert loaded == g == reference_load_graph(el_path)
+        assert digest == canonical_sha256(loaded) == reference_canonical_sha256(g)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_near_canonical_matches_reference(self, el_path, data):
+        n = data.draw(st.integers(2, 40))
+        vertex = st.integers(0, n - 1)
+        pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        g = from_edge_list(n, data.draw(st.lists(pairs, min_size=1, max_size=60)))
+        name, raw = _near_canonical(data, g)
+        el_path.write_bytes(raw)
+        got = _loaded(load_graph, el_path)
+        want = _loaded(reference_load_graph, el_path)
+        if isinstance(want, str):
+            assert got == want, name
+            return
+        loaded, digest, fast = got
+        assert (loaded, digest) == want[:2], name
+        assert canonical_sha256(loaded) == digest, name
+        # the fast path takes exactly the canonical texts
+        assert fast == (raw == format_edge_list(loaded).encode("ascii")), name
+
+    @given(st.binary(max_size=80))
+    def test_arbitrary_bytes(self, el_path, raw):
+        _graph_or_error(el_path, raw)
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(0, 12).map(str), st.sampled_from(
+            ["", "-1", "007", "1_0", "+1", "\u0663", "0x1", "#", "\udcff"])),
+        st.sampled_from([" ", "  ", "\n", "\r\n", "\t", "\r"])), max_size=24))
+    def test_token_soup(self, el_path, pieces):
+        text = "".join(t + sep for t, sep in pieces)
+        _graph_or_error(el_path, text.encode("utf-8", "surrogateescape"))
+
+    def test_leading_zeros_accepted_and_hashed_canonically(self, el_path):
+        el_path.write_bytes(b"03 2\n00 1\n1 002\n")
+        g = load_graph(el_path)
+        assert g == from_edge_list(3, [(0, 1), (1, 2)])
+        assert canonical_sha256(g) == hashlib.sha256(b"3 2\n0 1\n1 2\n").hexdigest()
+
+    def test_invalid_utf8_is_a_graph_error(self, el_path):
+        el_path.write_bytes(b"3 1\n0 1 # \xff\n")
+        with pytest.raises(GraphError, match="not UTF-8"):
+            load_graph(el_path)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densebip.graph import from_edge_list
-from densebip.generators import c5_blowup, complete_bipartite
+from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.reducer import (
     EmptyCoreError,
     OrderingError,
@@ -23,6 +23,7 @@ from helpers import (
     path_graph,
     random_graph,
     restart_minimal_subgraph,
+    tuple_key_degeneracy_ordering,
 )
 
 
@@ -172,6 +173,15 @@ class TestDegeneracyOrdering:
             worst = max(worst, left)
         assert worst == degeneracy
 
+    @given(graphs(max_n=30))
+    def test_matches_tuple_key_reference(self, g):
+        assert degeneracy_ordering(g) == tuple_key_degeneracy_ordering(g)
+
+    def test_matches_tuple_key_reference_on_cores(self):
+        shrink = minimal_min_degree_subgraph(random_bipartite(150, 150, 0.3, 13), 24)[0]
+        for g in (complete_bipartite(250, 250), c5_blowup(60), shrink):
+            assert degeneracy_ordering(g) == tuple_key_degeneracy_ordering(g)
+
 
 class TestBuildOrdered:
     def test_k33_candidates_are_full_opposite_side(self):
@@ -197,7 +207,7 @@ class TestBuildOrdered:
 
     def test_left_right_partition(self):
         og = build_ordered(complete_bipartite(4, 4), 4)
-        pos = og.position
+        pos = {v: i for i, v in enumerate(og.order)}
         for v in range(og.graph.n):
             left = set(og.left_neighbors[v])
             right = set(og.graph.adjacency[v]) - left
