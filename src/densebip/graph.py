@@ -79,15 +79,39 @@ class Graph:
     def is_triangle_free(self) -> bool:
         """True iff no edge's endpoints share a neighbor.
 
-        Tests each edge (u, v) with u < v by checking v's adjacency list
-        against u's cached neighbor set, so the cost is the sum of deg v over
-        the edges, with early exit on the first common neighbor.
+        A proper 2-colouring proves the graph bipartite, hence triangle-free,
+        in O(n + m). Only a graph that is not bipartite has each edge (u, v)
+        with u < v tested by checking v's adjacency list against u's cached
+        neighbor set, so the cost is the sum of deg v over the edges, with
+        early exit on the first common neighbor.
         """
+        if self._is_bipartite():
+            return True
         sets = self.neighbor_sets
         adj = self.adjacency
         for u, v in self.edges():
             if not sets[u].isdisjoint(adj[v]):
                 return False
+        return True
+
+    def _is_bipartite(self) -> bool:
+        """Whether a depth-first search finds a proper 2-colouring."""
+        adjacency = self.adjacency
+        side = bytearray(self.n)  # 0 uncoloured, else 1 or 2
+        for start in range(self.n):
+            if side[start]:
+                continue
+            side[start] = 1
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                other = 3 - side[u]
+                for w in adjacency[u]:
+                    if not side[w]:
+                        side[w] = other
+                        stack.append(w)
+                    elif side[w] != other:
+                        return False
         return True
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
@@ -138,10 +162,12 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 # int() alone would also take "1_0", "+1" and non-ASCII digits such as "٣"
 _ID = re.compile(r"-?[0-9]+")
+# str.split() would also split on "\x0b", "\x1c" or "\u2003"
+_SEP = re.compile(r"[ \t]+")
 
 
 def _pair(line: str, kind: str, shape: str) -> tuple[int, int]:
-    parts = line.split()
+    parts = _SEP.split(line)
     if len(parts) != 2:
         raise GraphError(f"bad {kind} line {line!r}, expected {shape!r}")
     try:
@@ -161,16 +187,19 @@ def _edge(line: str) -> tuple[int, int]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the on-disk format: a header line "n m", then m lines "u v".
 
-    Blank lines and lines starting with '#' are ignored. Numbers are ASCII
-    decimal, optionally with a leading '-'; vertex ids are 0-based and
-    whitespace-separated. Each edge is listed once, in either
+    Lines end at '\n', optionally preceded by one '\r'; tokens are separated
+    by ASCII spaces and tabs, and any other character between or around them
+    makes the line malformed. Blank lines and lines starting with '#' are
+    ignored. Numbers are ASCII decimal, optionally with a leading '-';
+    vertex ids are 0-based. Each edge is listed once, in either
     orientation; a repeated edge is an error, not collapsed. The first
     malformed, out-of-range or self-loop edge line is the one reported; a
     repeat is reported only when every line passes those checks.
     """
     rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in text.split("\n"):
+        # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
         rows.append(line)

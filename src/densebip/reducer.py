@@ -9,8 +9,14 @@ Both the d-core and the minimality scan run on one peeling routine
 (Batagelj-Zaversnik): delete some vertices, then repeatedly delete every
 vertex whose degree has dropped below d, keeping the degrees up to date. The
 scan makes a single pass over the core, tentatively deleting one vertex at a
-time and undoing the deletion when it would empty the remainder. Everything
-is deterministic: ties always break toward the smallest vertex id.
+time and undoing the deletion when it would empty the remainder. A vertex
+whose deletion failed is a keeper, and a tentative deletion stops as soon as
+its peel kills a keeper: if the peel from u on the remainder R kills a keeper
+v that failed on R_old >= R, then core(R-u) <= core(R-v) <= core(R_old-v) =
+empty, so u fails too. The scan also ends when a failed deletion shows the
+remainder to be connected and d-regular; only the first failure, which
+meets no keeper and so peels everything, can show it. Everything is
+deterministic: ties always break toward the smallest vertex id.
 """
 
 from __future__ import annotations
@@ -57,13 +63,19 @@ class OrderedGraph:
 
 
 def _peel(
-    adjacency: Sequence[Sequence[int]], deg: list[int], alive: list[bool], stack: list[int], d: int
-) -> tuple[list[int], list[int]]:
+    adjacency: Sequence[Sequence[int]],
+    deg: list[int],
+    alive: list[bool],
+    stack: list[int],
+    d: int,
+    keepers: bytearray | None = None,
+) -> tuple[list[int], list[int], bool]:
     """Delete the vertices on `stack`, then every vertex whose degree drops below d.
 
     `deg` and `alive` are updated in place and `stack` is consumed. Returns
-    (killed, decremented): every deleted vertex, and one entry per degree
-    decrement, which together are enough to undo the peel.
+    (killed, decremented, stopped): every deleted vertex, one entry per degree
+    decrement, which together are enough to undo the peel, and whether the
+    peel stopped early because it killed a vertex marked in `keepers`.
     """
     killed = list(stack)
     for v in killed:
@@ -77,9 +89,11 @@ def _peel(
                 decremented.append(w)
                 if deg[w] < d:
                     alive[w] = False
-                    stack.append(w)
                     killed.append(w)
-    return killed, decremented
+                    if keepers is not None and keepers[w]:
+                        return killed, decremented, True
+                    stack.append(w)
+    return killed, decremented, False
 
 
 def d_core(g: Graph, d: int) -> tuple[int, ...]:
@@ -109,11 +123,22 @@ def minimal_min_degree_subgraph(
     every smaller remainder too. When no deletion survives the remainder is
     inclusion-minimal, hence d-degenerate.
 
+    A vertex whose deletion failed becomes a keeper. A tentative deletion
+    whose peel kills a keeper fails too, by the same monotonicity: if the
+    peel from u on the remainder R kills the keeper v, which failed on
+    R_old >= R, then core(R-u) <= core(R-v) <= core(R_old-v) = empty. So the
+    peel stops there and is undone, and u becomes a keeper. The same argument
+    shows that a kept deletion never kills a keeper, so the early stop keeps
+    exactly the deletions a full peel would keep.
+
     The pass stops once the remainder is connected and every live vertex has
     degree exactly d, since deleting any vertex then peels everything. A
     failed deletion detects this: in a remainder whose degrees all equal d it
     peels exactly the deleted vertex's component, so it fails only when that
-    component is the whole remainder.
+    component is the whole remainder. Only a failed deletion that peels the
+    whole remainder can see it, and once a keeper exists every failed
+    deletion stops at a keeper first, so the check runs on the first failure
+    alone.
     """
     core = d_core(g, d)
     if not core:
@@ -129,19 +154,21 @@ def minimal_min_degree_subgraph(
 
     # scan_order first, then the rest of the core; repeats and ids outside the core are skipped
     scan = dict.fromkeys(v for v in (*(scan_order or ()), *core) if 0 <= v < n and alive[v])
+    keepers = bytearray(n)
     live = len(core)
     for v in scan:
         if not alive[v]:
             continue
-        killed, decremented = _peel(adjacency, deg, alive, [v], d)
-        if len(killed) < live:
+        killed, decremented, stopped = _peel(adjacency, deg, alive, [v], d, keepers)
+        if not stopped and len(killed) < live:
             live -= len(killed)
             continue
         for w in decremented:
             deg[w] += 1
         for u in killed:
             alive[u] = True
-        if all(deg[u] == d for u in killed):
+        keepers[v] = 1
+        if not stopped and all(deg[u] == d for u in killed):
             # Every degree is exactly d, so the peel took exactly v's
             # component: the remainder is connected and no deletion can succeed.
             break

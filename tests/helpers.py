@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from densebip.extractor import Params, SampleOutcome
 from densebip.generators import _check_probability
 from densebip.graph import Graph, GraphError, format_edge_list, from_edge_list, parse_edge_list
-from densebip.reducer import EmptyCoreError, OrderedGraph
+from densebip.reducer import EmptyCoreError, OrderedGraph, d_core
 from densebip.rng import stream
 
 
@@ -270,6 +270,48 @@ def restart_minimal_subgraph(
                 progressed = True
                 break
     return g.induced_subgraph([v for v in range(g.n) if alive[v]])
+
+
+def full_peel_minimal_subgraph(
+    g: Graph, d: int, scan_order: Iterable[int] | None = None
+) -> tuple[Graph, dict[int, int]]:
+    """Reference for `minimal_min_degree_subgraph`: the single-pass scan in which
+    every tentative deletion peels to the end before it is kept or undone."""
+    core = d_core(g, d)
+    if not core:
+        raise EmptyCoreError(f"the {d}-core of the input is empty")
+    n = g.n
+    alive = [False] * n
+    for v in core:
+        alive[v] = True
+    deg = [sum(1 for w in g.adjacency[v] if alive[w]) for v in range(n)]
+    scan = dict.fromkeys(v for v in (*(scan_order or ()), *core) if 0 <= v < n and alive[v])
+    live = len(core)
+    for v in scan:
+        if not alive[v]:
+            continue
+        alive[v] = False
+        killed, decremented, stack = [v], [], [v]
+        while stack:
+            u = stack.pop()
+            for w in g.adjacency[u]:
+                if alive[w]:
+                    deg[w] -= 1
+                    decremented.append(w)
+                    if deg[w] < d:
+                        alive[w] = False
+                        stack.append(w)
+                        killed.append(w)
+        if len(killed) < live:
+            live -= len(killed)
+            continue
+        for w in decremented:
+            deg[w] += 1
+        for u in killed:
+            alive[u] = True
+        if all(deg[u] == d for u in killed):
+            break
+    return g.induced_subgraph([v for v in core if alive[v]])
 
 
 def reference_potential_value(

@@ -20,6 +20,7 @@ from densebip.generators import complete_bipartite
 from helpers import (
     cycle_graph,
     graphs,
+    is_bipartite,
     naive_triangle_free,
     pairset_from_edge_list,
     path_graph,
@@ -117,6 +118,22 @@ class TestTriangleFree:
         for seed in range(200):
             g = random_graph(2 + seed % 9, 0.15 + 0.1 * (seed % 7), seed)
             assert g.is_triangle_free() == naive_triangle_free(g), seed
+
+    @given(st.data())
+    def test_agrees_with_naive_scan(self, data):
+        # half the draws are bipartite (edges only across a drawn split), so
+        # both the 2-colouring and the per-edge fallback decide some of them
+        n = data.draw(st.integers(0, 10))
+        side = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        across = data.draw(st.booleans())
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if not across or side[u] != side[v]
+        ]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
+        assert g.is_triangle_free() == naive_triangle_free(g)
+        assert g._is_bipartite() == is_bipartite(g)
 
 
 class TestInducedSubgraph:
@@ -298,6 +315,25 @@ class TestSerialization:
     def test_negative_id_is_out_of_range(self):
         with pytest.raises(GraphError, match=r"edge \(-1,2\) out of range for n=3"):
             parse_edge_list("3 1\n-1 2\n")
+
+    @pytest.mark.parametrize("char", ["\u2003", "\u2028", "\x85", "\x1c", "\x0b", "\x0c"])
+    def test_non_ascii_separators_rejected(self, char):
+        # str.split / str.splitlines / str.strip treat each of these as whitespace
+        for text in (f"3{char}1\n0 1\n", f"{char}3 1\n0 1\n", f"3 1{char}0 1\n"):
+            with pytest.raises(GraphError, match="bad header line"):
+                parse_edge_list(text)
+        for text in (f"3 1\n0{char}1\n", f"3 1\n0 1{char}\n", f"3 1\n0 1\n{char}\n"):
+            with pytest.raises(GraphError, match="bad edge line|found 2 edge lines"):
+                parse_edge_list(text)
+
+    def test_ascii_separators_and_crlf_accepted(self):
+        g = parse_edge_list("# c\r\n\t3 2 \r\n0\t 1\r\n\r\n  1  2\n")
+        assert g == from_edge_list(3, [(0, 1), (1, 2)])
+        # a carriage return ends no line on its own, and only one precedes '\n'
+        with pytest.raises(GraphError, match="bad header line"):
+            parse_edge_list("3 1\r0 1\r")
+        with pytest.raises(GraphError, match="bad edge line"):
+            parse_edge_list("3 1\n0 1\r\r\n")
 
 
 @pytest.fixture(scope="module")

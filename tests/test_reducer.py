@@ -2,8 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densebip import reducer
 from densebip.graph import from_edge_list
-from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
+from densebip.generators import (
+    binomial_triangle_scrubbed,
+    c5_blowup,
+    complete_bipartite,
+    random_bipartite,
+)
 from densebip.reducer import (
     EmptyCoreError,
     OrderingError,
@@ -18,6 +24,7 @@ from helpers import (
     cycle_graph,
     degeneracy_by_permutations,
     exhaustive_degeneracy,
+    full_peel_minimal_subgraph,
     graphs,
     is_bipartite,
     path_graph,
@@ -128,6 +135,59 @@ class TestMinimalMinDegreeSubgraph:
             return
         for order in (None, scan, messy):
             assert minimal_min_degree_subgraph(g, d, order) == restart_minimal_subgraph(g, d, order)
+
+    @pytest.mark.parametrize(
+        "build,d",
+        [
+            (lambda: random_bipartite(150, 150, 0.3, 13), 24),
+            *((lambda s=s: random_bipartite(150, 150, 0.3, s), 24) for s in range(6)),
+            (lambda: random_bipartite(400, 400, 0.3, 3), 60),
+            (lambda: complete_bipartite(250, 250), 250),
+            (lambda: c5_blowup(60), 120),
+            (lambda: binomial_triangle_scrubbed(300, 0.05, 0), 8),
+        ],
+        ids=["shrink", *(f"rb150-s{s}" for s in range(6)), "rb400", "k250", "c5-60", "scrubbed300"],
+    )
+    def test_matches_full_peel_reference(self, build, d):
+        g = build()
+        assert minimal_min_degree_subgraph(g, d) == full_peel_minimal_subgraph(g, d)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([0.4, 0.6, 0.8]),
+        st.integers(0, 2**32),
+        st.sampled_from([2, 3]),
+        st.data(),
+    )
+    def test_dense_bipartite_matches_restart_oracle(self, a, b, rho, seed, d, data):
+        # dense enough that failed deletions often stop at a keeper
+        g = random_bipartite(a, b, rho, seed)
+        if not d_core(g, d):
+            return
+        scan = data.draw(st.permutations(range(g.n)))
+        for order in (None, scan):
+            want = restart_minimal_subgraph(g, d, order)
+            assert minimal_min_degree_subgraph(g, d, order) == want
+            assert full_peel_minimal_subgraph(g, d, order) == want
+
+    def test_peel_stops_at_a_keeper(self, monkeypatch):
+        g = random_bipartite(6, 6, 0.6, 0)
+        stops = []
+        peel = reducer._peel
+
+        def recording_peel(*args):
+            out = peel(*args)
+            stops.append(out[2])
+            return out
+
+        monkeypatch.setattr(reducer, "_peel", recording_peel)
+        got = minimal_min_degree_subgraph(g, 2)
+        # the first call is d_core's; 3 of the 8 tentative deletions stop early
+        assert stops[1:] == [False, False, False, False, True, False, True, True]
+        assert got == restart_minimal_subgraph(g, 2)
+        assert sorted(got[1]) == [3, 4, 7, 8]
 
     def test_corpus_properties(self):
         for seed in range(40):
