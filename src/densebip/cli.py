@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 verified failure (extraction failed, a claim check
 did not pass, a candidate pair is invalid), 2 usage or input errors. JSON
 output is byte-identical for identical inputs, seeds, and flags regardless of
 the worker count.
+
+Importing this module loads only what `extract` runs: the graph, reducer,
+extractor and rng modules. The functions that `gen`, `oracle` and `stats`
+call live in the generators, oracle and stats modules; each is imported on
+first access to its name here (a module `__getattr__`) and then cached. The
+commands read these names as attributes of this module, so patching
+`densebip.cli.mc_potential` reaches `stats potential`.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+from . import _lazy_getattr
 from .extractor import (
     ExtractionError,
     ParamsError,
@@ -24,12 +32,6 @@ from .extractor import (
     SIZE_RATIO_BOUND,
     derive_params,
     extract,
-)
-from .generators import (
-    binomial_triangle_scrubbed,
-    c5_blowup,
-    complete_bipartite,
-    random_bipartite,
 )
 from .graph import (
     Graph,
@@ -39,15 +41,21 @@ from .graph import (
     format_edge_list,
     load_graph,
 )
-from .oracle import DEFAULT_CAP, max_induced_bipartite_average_degree
 from .reducer import EmptyCoreError, OrderingError, reduce_and_order
-from .stats import (
-    check_q_bound,
-    mc_conditional,
-    mc_edge_identity,
-    mc_per_vertex_survival,
-    mc_potential,
-)
+
+__getattr__ = _lazy_getattr(globals(), {
+    "binomial_triangle_scrubbed": "generators",
+    "c5_blowup": "generators",
+    "complete_bipartite": "generators",
+    "random_bipartite": "generators",
+    "DEFAULT_CAP": "oracle",
+    "max_induced_bipartite_average_degree": "oracle",
+    "check_q_bound": "stats",
+    "mc_conditional": "stats",
+    "mc_edge_identity": "stats",
+    "mc_per_vertex_survival": "stats",
+    "mc_potential": "stats",
+})
 
 SEED_ENV_VAR = "DENSEBIP_SEED"
 
@@ -103,25 +111,26 @@ def _positive_int(label: str, value: int) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    cli = sys.modules[__name__]
     seed = _resolve_seed(args.seed)
     family = args.family
     p = args.params
     if family == "complete-bipartite":
         if len(p) != 2:
             raise ValueError("complete-bipartite needs two integers: A B")
-        g = complete_bipartite(int(p[0]), int(p[1]))
+        g = cli.complete_bipartite(int(p[0]), int(p[1]))
     elif family == "random-bipartite":
         if len(p) != 3:
             raise ValueError("random-bipartite needs: N1 N2 RHO")
-        g = random_bipartite(int(p[0]), int(p[1]), float(p[2]), seed)
+        g = cli.random_bipartite(int(p[0]), int(p[1]), float(p[2]), seed)
     elif family == "c5-blowup":
         if len(p) != 1:
             raise ValueError("c5-blowup needs one integer: T")
-        g = c5_blowup(int(p[0]))
+        g = cli.c5_blowup(int(p[0]))
     elif family == "binomial-scrubbed":
         if len(p) != 2:
             raise ValueError("binomial-scrubbed needs: N RHO")
-        g = binomial_triangle_scrubbed(int(p[0]), float(p[1]), seed)
+        g = cli.binomial_triangle_scrubbed(int(p[0]), float(p[1]), seed)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown family {family!r}")
     text = format_edge_list(g)
@@ -194,8 +203,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    cli = sys.modules[__name__]
     g = load_graph(args.infile)
-    result = max_induced_bipartite_average_degree(g, args.cap)
+    cap = cli.DEFAULT_CAP if args.cap is None else args.cap
+    result = cli.max_induced_bipartite_average_degree(g, cap)
     _emit(
         {
             "input_sha256": canonical_sha256(g),
@@ -218,10 +229,11 @@ def _translate_vertex(mapping: dict[int, int], vertex: int | None, default_local
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    cli = sys.modules[__name__]
     seed = _resolve_seed(args.seed)
     _positive_int("--workers", args.workers)
     if args.check == "check-q":
-        result = check_q_bound(args.d)
+        result = cli.check_q_bound(args.d)
         _emit(
             {
                 "check": "check-q",
@@ -249,24 +261,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     }
     if args.check == "conditional":
         y = _translate_vertex(mapping, args.y, 0)
-        est = mc_conditional(og, params, y, trials, seed, args.workers)
+        est = cli.mc_conditional(og, params, y, trials, seed, args.workers)
         payload["vertex"] = inverse[y]
         payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "survival":
         default_x = max(range(og.graph.n), key=lambda v: (len(og.left_neighbors[v]), -v))
         x = _translate_vertex(mapping, args.x, default_x)
-        est = mc_per_vertex_survival(og, params, x, trials, seed, args.workers)
+        est = cli.mc_per_vertex_survival(og, params, x, trials, seed, args.workers)
         payload["vertex"] = inverse[x]
         payload["left_degree"] = len(og.left_neighbors[x])
         payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "edge-identity":
-        est = mc_edge_identity(og, params, trials, seed, args.workers)
+        est = cli.mc_edge_identity(og, params, trials, seed, args.workers)
         payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "potential":
-        est, rate = mc_potential(og, params, trials, seed, args.workers)
+        est, rate = cli.mc_potential(og, params, trials, seed, args.workers)
         payload["estimate"] = asdict(est)
         payload["success_rate"] = rate
         passed = est.passed
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact best induced bipartite average degree")
     orc.add_argument("--in", dest="infile", required=True)
-    orc.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    orc.add_argument("--cap", type=int, default=None)
     orc.set_defaults(func=cmd_oracle)
 
     st = sub.add_parser("stats", help="run one distributional check")

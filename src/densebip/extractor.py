@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import BipartitePairReport, Graph, bipartite_pair_report
-from .parallel import iter_indexed
 from .reducer import OrderedGraph
 from .rng import sampled_members, stream
 
@@ -299,11 +298,6 @@ class ExtractionResult:
     meets_floor: bool | None
 
 
-def _trial_worker(args, index: int) -> SampleOutcome:
-    og, params, seed = args
-    return sample_trial(og, params, stream(seed, index))
-
-
 def extract(
     og: OrderedGraph,
     params: Params,
@@ -314,16 +308,19 @@ def extract(
     """Resample until the potential is positive, then carve out the pair.
 
     Trial i draws only from stream(seed, i) and the smallest index with
-    positive potential wins, so the result is identical for any worker count
-    or schedule. Raises ExtractionError when retries run out, the accepted
-    trial cannot produce a nonempty adjacent pair, or it breaks the 230x ratio.
+    positive potential wins. Trials run in index order in the calling
+    process; `workers` is accepted and ignored, as a process pool costs more
+    than the few trials an accepted run draws. Raises ExtractionError when
+    retries run out, the accepted trial cannot produce a nonempty adjacent
+    pair, or it breaks the 230x ratio.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
     require_compatible(og, params)
     accepted_index = -1
     outcome: SampleOutcome | None = None
-    for index, out in iter_indexed(_trial_worker, (og, params, seed), max_retries, workers):
+    for index in range(max_retries):
+        out = sample_trial(og, params, stream(seed, index))
         if out.potential > 0:
             accepted_index, outcome = index, out
             break

@@ -117,9 +117,12 @@ class Graph:
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph on `vertices`, densely relabeled; also returns the old->new id map.
 
-        New ids follow ascending old id, so relabeling is deterministic.
+        New ids follow ascending old id, so relabeling is deterministic. A
+        selection of every vertex returns this graph itself and the identity map.
         """
         vs = _vertex_subset(self.n, vertices)
+        if len(vs) == self.n:  # vs is range(n): the relabeling is the identity
+            return self, {v: v for v in vs}
         old_to_new = {v: i for i, v in enumerate(vs)}
         adjacency = tuple(
             tuple(old_to_new[w] for w in self.adjacency[v] if w in old_to_new) for v in vs

@@ -3,11 +3,13 @@
 Results are yielded in index order and each trial depends only on its index,
 so the outcome is identical for any worker count. Workers receive the shared
 arguments once (via the pool initializer) and tasks carry only indices.
+
+Only the `stats` checks fan out; `extract` runs its trials serially.
+`concurrent.futures` is imported only when a pool is opened.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 from typing import Any, Callable, Iterator
 
 _WORK: tuple[Callable, Any] | None = None
@@ -41,6 +43,8 @@ def iter_indexed(
         for i in range(count):
             yield i, fn(args, i)
         return
+    import concurrent.futures as cf
+
     block = max(32, workers * 8)
     with cf.ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(fn, args)

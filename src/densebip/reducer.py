@@ -145,12 +145,16 @@ def minimal_min_degree_subgraph(
         raise EmptyCoreError(f"the {d}-core of the input is empty")
     n = g.n
     adjacency = g.adjacency
-    alive = [False] * n
-    for v in core:
-        alive[v] = True
-    deg = [0] * n
-    for v in core:
-        deg[v] = sum(1 for w in adjacency[v] if alive[w])
+    if len(core) == n:  # nothing peeled: every neighbour is live
+        alive = [True] * n
+        deg = [len(nbrs) for nbrs in adjacency]
+    else:
+        alive = [False] * n
+        for v in core:
+            alive[v] = True
+        deg = [0] * n
+        for v in core:
+            deg[v] = sum(1 for w in adjacency[v] if alive[w])
 
     # scan_order first, then the rest of the core; repeats and ids outside the core are skipped
     scan = dict.fromkeys(v for v in (*(scan_order or ()), *core) if 0 <= v < n and alive[v])

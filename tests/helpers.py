@@ -63,6 +63,18 @@ def pairset_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adjacency, len(seen))
 
 
+def reference_induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Reference for `Graph.induced_subgraph`: always relabel and rebuild."""
+    vs = sorted(set(vertices))
+    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+        raise GraphError(f"vertex id out of range 0..{g.n - 1}")
+    old_to_new = {v: i for i, v in enumerate(vs)}
+    adjacency = tuple(
+        tuple(old_to_new[w] for w in g.adjacency[v] if w in old_to_new) for v in vs
+    )
+    return Graph(len(vs), adjacency, sum(map(len, adjacency)) // 2), old_to_new
+
+
 def reference_load_graph(path: str | Path) -> Graph:
     """Reference for `load_graph`: every file through the line parser."""
     return parse_edge_list(Path(path).read_text())

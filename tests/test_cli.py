@@ -256,6 +256,21 @@ class TestStats:
         assert "success_rate" in payload
         assert code == (0 if payload["passed"] else 1)
 
+    def test_potential_calls_the_cli_attribute(self, k16_file, capsys, monkeypatch):
+        import densebip.cli
+
+        real, calls = densebip.cli.mc_potential, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(densebip.cli, "mc_potential", spy)
+        # the arguments of a frozen run that passes
+        code, _, _ = run(capsys, "stats", "potential", "--in", k16_file, "--d", "16",
+                         "--guarantee", "--seed", "7", "--trials", "200")
+        assert code == 0 and len(calls) == 1
+
     def test_missing_input_exits_2(self, capsys):
         code, _, _ = run(capsys, "stats", "potential", "--d", "16")
         assert code == 2
@@ -340,3 +355,48 @@ def test_runtime_needs_only_the_standard_library():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == [str(src / "densebip" / "cli.py"), "False"]
+
+
+# Run in a fresh interpreter; a module counts as loaded only if it was not
+# already in sys.modules when the probe started, as site may import some.
+IMPORT_PROBE = """
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
+
+def loaded():
+    return sorted(set(sys.modules) - bare)
+
+steps = {}
+import densebip
+steps["import"] = loaded()
+import densebip.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [densebip.cli.main(
+        ["extract", "--in", PATH, "--d", "16", "--workers", "2", "--json"])]
+    steps["extract"] = loaded()
+    codes.append(densebip.cli.main(
+        ["stats", "potential", "--in", PATH, "--d", "16", "--guarantee", "--seed", "7",
+         "--trials", "200", "--workers", "1"]))
+    steps["stats"] = loaded()
+print(json.dumps({"codes": codes, "steps": steps}))
+"""
+
+
+def test_commands_import_only_what_they_run(k16_file):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", f"PATH = {k16_file!r}\n" + IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0]
+    steps = {step: set(names) for step, names in result["steps"].items()}
+    assert {m for m in steps["import"] if m.startswith("densebip.")} == set()
+    assert {"densebip.cli", "densebip.extractor", "densebip.reducer"} <= steps["extract"]
+    unused = {"densebip.stats", "densebip.oracle", "densebip.generators", "densebip.parallel",
+              "concurrent.futures"}
+    assert unused & steps["extract"] == set()
+    assert "densebip.stats" in steps["stats"]
+    assert "concurrent.futures" not in steps["stats"]

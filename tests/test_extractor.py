@@ -341,6 +341,18 @@ class TestExtract:
         four = extract(og, params, seed=3, max_retries=500, workers=4)
         assert one == four
 
+    def test_workers_open_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extract opened a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        og, _ = reduce_and_order(complete_bipartite(48, 48), 48)
+        params = derive_params(48, True)
+        four = extract(og, params, seed=3, max_retries=500, workers=4)
+        assert four == extract(og, params, seed=3, max_retries=500, workers=1)
+
     def test_repeat_runs_identical(self):
         og, _ = reduce_and_order(complete_bipartite(32, 32), 32)
         params = derive_params(32, True)

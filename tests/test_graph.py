@@ -27,6 +27,7 @@ from helpers import (
     petersen_graph,
     random_graph,
     reference_canonical_sha256,
+    reference_induced_subgraph,
     reference_load_graph,
 )
 
@@ -154,6 +155,25 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             cycle_graph(5).induced_subgraph([0, 5])
+
+    @given(graphs())
+    def test_every_vertex_gives_the_graph_itself(self, g):
+        want = reference_induced_subgraph(g, range(g.n))
+        for selection in (range(g.n), [*reversed(range(g.n))] * 2):
+            sub, mapping = g.induced_subgraph(selection)
+            assert (sub, mapping) == want
+            assert sub is g and mapping == {v: v for v in range(g.n)}
+
+    @given(graphs(min_n=1), st.data())
+    def test_strict_subset_matches_relabeling_reference(self, g, data):
+        dropped = data.draw(st.integers(0, g.n - 1))
+        picks = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        subset = [v for v in picks if v != dropped]
+        assert g.induced_subgraph(subset) == reference_induced_subgraph(g, subset)
+        # n distinct ids, one of them out of range
+        for bad in ([-1, *range(1, g.n)], [*range(g.n - 1), g.n], [*subset, g.n]):
+            with pytest.raises(GraphError):
+                g.induced_subgraph(bad)
 
     @given(graphs(), st.data())
     def test_edges_within_matches_induced_m(self, g, data):
