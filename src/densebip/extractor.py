@@ -12,6 +12,13 @@ A trial is accepted when the potential
 is strictly positive (all arithmetic exact rationals); a positive potential
 certifies the supported set is large yet sparse, so a greedy independent set
 inside it yields the second side J with the promised size and degree bounds.
+
+The layer, its edge count and the support counts are computed on Python-int
+bitmasks over the core's vertex ids: the ordered graph caches, per vertex, a
+neighbor mask and a holder mask (the vertices whose candidate set contains
+it), each built on first use. A mask takes at most n/8 bytes for an n-vertex
+core, so a trial costs at most n/8 bytes per vertex it touches the first
+time, and the trial path builds no frozenset of neighbors.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 
 from .graph import BipartitePairReport, Graph, bipartite_pair_report
-from .reducer import OrderedGraph
+from .reducer import OrderedGraph, bitmask
 from .rng import sampled_members, stream
 
 GUARANTEE_MIN_DEGREE = 16
@@ -212,23 +220,56 @@ def left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
 
 def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
     """(layer, layer_edges): the vertices whose candidate set holds exactly ell
-    sampled vertices, ascending, and the number of edges among them."""
+    sampled vertices, ascending, and the number of edges among them.
+
+    The hit counts live in a bit-sliced counter: levels[i] holds bit i of
+    every vertex's count, and each sampled x adds its holder mask with a
+    ripple carry. The layer mask selects the vertices whose levels spell ell;
+    each layer vertex's neighbor mask, cut by it, counts its layer edges.
+    Each int here is at most n/8 bytes, and so is each cached mask.
+    """
     if len(sampled) < ell:
         return [], 0  # no candidate set can be hit ell times
-    n = og.graph.n
-    hits = [0] * n
-    index = og.candidate_index
+    holders = og.holder_masks
+    levels: list[int] = []
     for x in sampled:
-        for y in index[x]:
-            hits[y] += 1
-    layer = [y for y in range(n) if hits[y] == ell]
-    return layer, og.graph.edges_within(layer)
+        carry = holders[x]
+        for i, level in enumerate(levels):
+            levels[i] = level ^ carry
+            carry &= level
+            if not carry:
+                break
+        else:
+            if carry:
+                levels.append(carry)
+    if ell >> len(levels):
+        return [], 0  # every count is below 2**len(levels) <= ell
+    layer_mask = (1 << og.graph.n) - 1
+    for i, level in enumerate(levels):
+        layer_mask &= level if ell >> i & 1 else ~level
+    layer = _mask_members(layer_mask)
+    nbrs = og.neighbor_masks
+    return layer, sum((nbrs[v] & layer_mask).bit_count() for v in layer) // 2
 
 
-def supported_members(og: OrderedGraph, survivor_set, layer, threshold: int) -> list[int]:
-    """The members of `layer` with at least `threshold` neighbors in `survivor_set`."""
-    sets = og.graph.neighbor_sets
-    return [y for y in layer if len(survivor_set.intersection(sets[y])) >= threshold]
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_members(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    # bin() reversed puts bit i at index i; as 0/1 bytes it selects from count()
+    return list(compress(count(), bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)))
+
+
+def supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> list[int]:
+    """The members of `layer` with at least `threshold` neighbors in `survivors`.
+
+    One bitmask of the survivors is cut by each member's neighbor mask; both
+    take at most n/8 bytes, and a neighbor mask stays cached once built.
+    """
+    survivor_mask = bitmask(survivors)
+    nbrs = og.neighbor_masks
+    return [y for y in layer if (nbrs[y] & survivor_mask).bit_count() >= threshold]
 
 
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
@@ -242,7 +283,7 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     sampled = sampled_members(rng, range(og.graph.n), params.d)
     survivors = left_minimal_members(og, sampled)
     layer, layer_edges = hit_layer(og, sampled, params.ell)
-    supported = supported_members(og, set(survivors), layer, params.threshold) if layer else []
+    supported = supported_members(og, survivors, layer, params.threshold) if layer else []
     phi = potential_value(len(supported), layer_edges, len(sampled), params)
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi

@@ -37,6 +37,31 @@ class OrderingError(ValueError):
     """Graph does not meet the min-degree / degeneracy contract for ordering."""
 
 
+def bitmask(ids: Iterable[int]) -> int:
+    """The int with bit v set for each v in `ids`."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+class VertexMasks(dict):
+    """Per-vertex bitmasks over vertex ids, each built on its first lookup.
+
+    self[v] is bitmask(ids[v]). A mask takes at most n/8 bytes, so the cache
+    costs that much per vertex looked up, never n^2/8 up front. It holds only
+    ints and the `ids` tuple, so it pickles with its ordered graph.
+    """
+
+    def __init__(self, ids: Sequence[Iterable[int]]):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, v: int) -> int:
+        mask = self[v] = bitmask(self.ids[v])
+        return mask
+
+
 @dataclass(frozen=True)
 class OrderedGraph:
     """A graph plus its left-to-right order, left-neighbor lists and candidate sets.
@@ -44,6 +69,8 @@ class OrderedGraph:
     order[i] is the vertex at position i; left_neighbors[v] are the neighbors
     of v that appear earlier in the order (at most d of them); candidate_sets[v]
     is a fixed subset of exactly d neighbors of v (the d smallest ids).
+    neighbor_masks and holder_masks hold the adjacency lists and
+    candidate_index as per-vertex int bitmasks for the trial kernel.
     """
 
     graph: Graph
@@ -60,6 +87,16 @@ class OrderedGraph:
             for x in cand:
                 holders[x].append(y)
         return tuple(tuple(h) for h in holders)
+
+    @cached_property
+    def neighbor_masks(self) -> VertexMasks:
+        """neighbor_masks[v] has bit w set for each neighbor w of v."""
+        return VertexMasks(self.graph.adjacency)
+
+    @cached_property
+    def holder_masks(self) -> VertexMasks:
+        """holder_masks[x] has bit y set for each y whose candidate set contains x."""
+        return VertexMasks(self.candidate_index)
 
 
 def _peel(

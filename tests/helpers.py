@@ -338,14 +338,40 @@ def reference_potential_value(
     )
 
 
+def reference_hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
+    """Reference for `hit_layer`: count each vertex's sampled candidates in a
+    list, read the layer off a scan of every vertex, and count its edges over
+    the edge list."""
+    n = og.graph.n
+    membership = bytearray(n)
+    for x in sampled:
+        membership[x] = 1
+    hits = [sum(membership[x] for x in cand) for cand in og.candidate_sets]
+    layer = [y for y in range(n) if hits[y] == ell]
+    in_layer = bytearray(n)
+    for y in layer:
+        in_layer[y] = 1
+    layer_edges = sum(1 for u, v in og.graph.edges() if in_layer[u] and in_layer[v])
+    return layer, layer_edges
+
+
+def reference_supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> list[int]:
+    """Reference for `supported_members`: a list of support counts filled from
+    the survivors' adjacency lists."""
+    support = [0] * og.graph.n
+    for s in survivors:
+        for w in og.graph.adjacency[s]:
+            support[w] += 1
+    return [y for y in layer if support[y] >= threshold]
+
+
 def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     """Reference for `sample_trial`: one randrange(d) per vertex, then full
     hit, layer-edge and support passes over every vertex."""
     if og.d != params.d:
         raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
-    g = og.graph
-    n = g.n
-    d, ell, threshold = params.d, params.ell, params.threshold
+    n = og.graph.n
+    d = params.d
     membership = bytearray(n)
     sampled = []
     randrange = rng.randrange
@@ -361,19 +387,8 @@ def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutco
                 break
         else:
             survivors.append(x)
-    hits = [0] * n
-    index = og.candidate_index
-    for x in sampled:
-        for y in index[x]:
-            hits[y] += 1
-    layer = [y for y in range(n) if hits[y] == ell]
-    layer_edges = g.edges_within(layer)
-    support = [0] * n
-    adjacency = g.adjacency
-    for s in survivors:
-        for w in adjacency[s]:
-            support[w] += 1
-    supported = [y for y in layer if support[y] >= threshold]
+    layer, layer_edges = reference_hit_layer(og, sampled, params.ell)
+    supported = reference_supported_members(og, survivors, layer, params.threshold)
     phi = reference_potential_value(len(supported), layer_edges, len(sampled), params)
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi

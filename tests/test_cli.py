@@ -310,6 +310,25 @@ def test_frozen_stdout(command, k16_file, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT[command]
 
 
+# sha256 of stdout on c5_blowup(12) at d=24, --guarantee --seed 7: a core that
+# is triangle-free but not bipartite, so its layers have edges
+FROZEN_C5_STDOUT = {
+    ("stats", "potential", "--trials", "300"):
+        "8bb69b1d06d203d6ac1d81ac5a9cb037afe000550a0a50f8f2e8bbb8cc277dc6",
+    ("stats", "edge-identity", "--trials", "300"):
+        "c58a5ff18e18783a48d9b4d9b306a9ed2cf5a5a14dcac8ac1282d6424dc9833c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_C5_STDOUT), ids=" ".join)
+def test_frozen_stdout_c5_blowup(command, tmp_path, capsys):
+    path = str(tmp_path / "c5_12.el")
+    assert main(["gen", "c5-blowup", "12", "--out", path]) == 0
+    code, out, _ = run(capsys, *command, "--in", path, "--d", "24", "--guarantee", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_C5_STDOUT[command]
+
+
 class TestVerify:
     def test_valid_pair(self, c5_file, capsys):
         code, out, _ = run(capsys, "verify", "--in", c5_file, "--I", "0,2", "--J", "1,3")

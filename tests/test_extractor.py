@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,23 +17,27 @@ from densebip.extractor import (
     exact_q,
     extract,
     greedy_independent_set,
+    hit_layer,
     potential,
     potential_value,
     sample_trial,
+    supported_members,
     survival_probability,
     target_hit_count,
 )
 from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
-from densebip.reducer import EmptyCoreError, build_ordered, reduce_and_order
+from densebip.reducer import EmptyCoreError, OrderedGraph, build_ordered, reduce_and_order
 from densebip.rng import stream
 from densebip.stats import wilson_interval
 
 from helpers import (
     cycle_graph,
     random_graph,
+    reference_hit_layer,
     reference_potential_value,
     reference_sample_trial,
+    reference_supported_members,
 )
 
 
@@ -226,6 +232,53 @@ class TestSampleTrialOracle:
         assert potential_value(n_supported, layer_edges, n_sampled, params) == (
             reference_potential_value(n_supported, layer_edges, n_sampled, params)
         )
+
+
+@st.composite
+def ragged_cores(draw):
+    """Hand-built ordered graphs whose candidate sets are arbitrary subsets of
+    each vertex's neighbors, in arbitrary order, on up to 70 vertices so the
+    masks span several int digits."""
+    n = draw(st.integers(1, 70))
+    g = random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.6])), draw(st.integers(0, 2**16)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    candidates = tuple(
+        tuple(rng.sample(nbrs, rng.randint(0, len(nbrs)))) for nbrs in g.adjacency
+    )
+    left = tuple(tuple(w for w in nbrs if w < v) for v, nbrs in enumerate(g.adjacency))
+    return OrderedGraph(g, tuple(range(n)), left, candidates, draw(st.integers(1, 5)))
+
+
+def vertex_subset(data, n: int) -> list[int]:
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [v for v in range(n) if keep[v]]
+
+
+class TestTrialKernelOracle:
+    @given(ragged_cores(), st.integers(0, 4), st.data())
+    def test_hit_layer_matches_list_counts(self, og, ell, data):
+        sampled = vertex_subset(data, og.graph.n)
+        assert hit_layer(og, sampled, ell) == reference_hit_layer(og, sampled, ell)
+
+    @given(ragged_cores(), st.integers(0, 3), st.data())
+    def test_supported_members_matches_list_counts(self, og, threshold, data):
+        survivors = vertex_subset(data, og.graph.n)
+        layer = vertex_subset(data, og.graph.n)
+        assert supported_members(og, survivors, layer, threshold) == (
+            reference_supported_members(og, survivors, layer, threshold)
+        )
+
+    def test_masks_survive_pickling(self):
+        og, _ = reduce_and_order(c5_blowup(12), 24)
+        params = derive_params(24, True)
+        for i in range(20):
+            sample_trial(og, params, stream(3, i))
+        assert og.__dict__["holder_masks"] and og.__dict__["neighbor_masks"]
+        clone = pickle.loads(pickle.dumps(og))
+        assert clone.__dict__["holder_masks"] == og.__dict__["holder_masks"]
+        assert clone.__dict__["neighbor_masks"] == og.__dict__["neighbor_masks"]
+        for i in range(60):
+            assert sample_trial(clone, params, stream(3, i)) == sample_trial(og, params, stream(3, i))
 
 
 class TestGreedyIndependentSet:

@@ -331,6 +331,18 @@ class TestPotential:
         b = mc_potential(og, params, 120, seed=6, workers=2)
         assert a == b
 
+    def test_worker_independent_with_built_masks(self):
+        # the serial run builds the masks; the pool then gets the ordered
+        # graph with its mask caches filled
+        og, _ = reduce_and_order(c5_blowup(12), 24)
+        params = derive_params(24, True)
+        a = mc_potential(og, params, 150, seed=2, workers=1)
+        assert og.__dict__["holder_masks"] and og.__dict__["neighbor_masks"]
+        assert mc_potential(og, params, 150, seed=2, workers=2) == a
+        e = mc_edge_identity(og, params, 150, seed=2, workers=1)
+        assert e.mean > 0
+        assert mc_edge_identity(og, params, 150, seed=2, workers=2) == e
+
 
 def test_every_check_deterministic_given_seed_and_trials():
     og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
