@@ -49,10 +49,12 @@ _EXPORTS = {
         "BipartitePairReport",
         "Graph",
         "GraphError",
+        "MAX_VERTICES",
         "bipartite_pair_report",
         "canonical_sha256",
         "format_edge_list",
         "from_edge_list",
+        "load_core",
         "load_graph",
         "parse_edge_list",
         "save_graph",

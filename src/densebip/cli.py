@@ -6,6 +6,12 @@ did not pass, a candidate pair is invalid), 2 usage or input errors. JSON
 output is byte-identical for identical inputs, seeds, and flags regardless of
 the worker count.
 
+`extract` and `stats` read their input through one helper, `_reduced_input`:
+`load_core` (which may skip the adjacency of vertices outside the d-core),
+`derive_params`, `reduce_and_order`, and the input id of each core vertex.
+They work on core ids throughout, including the pair report, and translate
+to input ids only for `--x`/`--y` and the printed output.
+
 Importing this module loads only what `extract` runs: the graph, reducer,
 extractor and rng modules. The functions that `gen`, `oracle` and `stats`
 call live in the generators, oracle and stats modules; each is imported on
@@ -39,9 +45,10 @@ from .graph import (
     bipartite_pair_report,
     canonical_sha256,
     format_edge_list,
+    load_core,
     load_graph,
 )
-from .reducer import EmptyCoreError, OrderingError, reduce_and_order
+from .reducer import EmptyCoreError, OrderedGraph, OrderingError, reduce_and_order
 
 __getattr__ = _lazy_getattr(globals(), {
     "binomial_triangle_scrubbed": "generators",
@@ -141,21 +148,31 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reduced_input(args: argparse.Namespace) -> tuple[str, Params, OrderedGraph, tuple[int, ...]]:
+    """Load `--in`, derive the params and reduce to the ordered core.
+
+    Returns (input sha256, params, ordered core, original), where original[v]
+    is the input id of core vertex v; it is ascending, as both `load_core` and
+    the reduction relabel in ascending id.
+    """
+    g, ids, sha256 = load_core(args.infile, args.d)
+    params = derive_params(args.d, args.guarantee)
+    og, mapping = reduce_and_order(g, args.d)
+    return sha256, params, og, tuple(ids[v] for v in sorted(mapping))
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
-    g = load_graph(args.infile)
     seed = _resolve_seed(args.seed)
     _positive_int("--max-retries", args.max_retries)
     _positive_int("--workers", args.workers)
-    params = derive_params(args.d, args.guarantee)
-    og, mapping = reduce_and_order(g, args.d)
-    inverse = {new: old for old, new in mapping.items()}
+    sha256, params, og, original = _reduced_input(args)
     try:
         result = extract(og, params, seed, args.max_retries, args.workers)
     except ExtractionError as exc:
         payload = {
             "error": str(exc),
             "diagnostics": exc.diagnostics,
-            "input_sha256": canonical_sha256(g),
+            "input_sha256": sha256,
             "seed": seed,
             "params": _params_payload(params),
         }
@@ -164,11 +181,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
         else:
             print(f"extraction failed: {exc}", file=sys.stderr)
         return 1
-    side_i = sorted(inverse[v] for v in result.I)
-    side_j = sorted(inverse[v] for v in result.J)
-    report = bipartite_pair_report(g, side_i, side_j)
+    # I and J lie in the core, which the input induces: the same cross edges
+    # and independence as on the input ids
+    report = bipartite_pair_report(og.graph, result.I, result.J)
+    side_i = [original[v] for v in report.I]
+    side_j = [original[v] for v in report.J]
     payload = {
-        "input_sha256": canonical_sha256(g),
+        "input_sha256": sha256,
         "seed": seed,
         "params": _params_payload(params),
         "reduced_n": og.graph.n,
@@ -219,13 +238,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _translate_vertex(mapping: dict[int, int], vertex: int | None, default_local: int) -> int:
+def _translate_vertex(original: tuple[int, ...], vertex: int | None, default_local: int) -> int:
     if vertex is None:
         return default_local
-    local = mapping.get(vertex)
-    if local is None:
+    if vertex not in original:
         raise ValueError(f"vertex {vertex} was dropped by the reduction")
-    return local
+    return original.index(vertex)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -248,28 +266,25 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise ValueError(f"stats {args.check} needs --in FILE")
     trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[args.check]
     _positive_int("--trials", trials)
-    g = load_graph(args.infile)
-    params = derive_params(args.d, args.guarantee)
-    og, mapping = reduce_and_order(g, args.d)
-    inverse = {new: old for old, new in mapping.items()}
+    sha256, params, og, original = _reduced_input(args)
     payload: dict = {
         "check": args.check,
-        "input_sha256": canonical_sha256(g),
+        "input_sha256": sha256,
         "seed": seed,
         "trials": trials,
         "params": _params_payload(params),
     }
     if args.check == "conditional":
-        y = _translate_vertex(mapping, args.y, 0)
+        y = _translate_vertex(original, args.y, 0)
         est = cli.mc_conditional(og, params, y, trials, seed, args.workers)
-        payload["vertex"] = inverse[y]
+        payload["vertex"] = original[y]
         payload["estimate"] = asdict(est)
         passed = est.passed
     elif args.check == "survival":
         default_x = max(range(og.graph.n), key=lambda v: (len(og.left_neighbors[v]), -v))
-        x = _translate_vertex(mapping, args.x, default_x)
+        x = _translate_vertex(original, args.x, default_x)
         est = cli.mc_per_vertex_survival(og, params, x, trials, seed, args.workers)
-        payload["vertex"] = inverse[x]
+        payload["vertex"] = original[x]
         payload["left_degree"] = len(og.left_neighbors[x])
         payload["estimate"] = asdict(est)
         passed = est.passed

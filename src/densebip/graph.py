@@ -11,17 +11,29 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import pairwise, repeat, starmap
-from operator import add, mul
+from itertools import compress, pairwise, repeat, starmap
+from operator import add, and_, mul
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+# Every vertex gets an adjacency list, isolated or not, so a header alone could
+# ask for gigabytes; above this count the input is refused before any is made.
+MAX_VERTICES = 10_000_000
 
 
 class GraphError(ValueError):
     """Malformed graph input: self-loop, bad vertex id, or bad file contents."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def _vertex_subset(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
@@ -147,10 +159,9 @@ class Graph:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build the canonical graph; duplicate pairs collapse to one edge.
 
-    Rejects self-loops and out-of-range vertex ids.
+    Rejects self-loops, out-of-range vertex ids and n above MAX_VERTICES.
     """
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
+    _check_vertex_count(n)
     lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -235,12 +246,13 @@ def format_edge_list(g: Graph) -> str:
 _LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
 
 
-def _canonical_graph(data: bytes) -> Graph | None:
-    """The graph whose `format_edge_list` text is exactly `data`, with at least
-    one edge; None for any other input.
+def _canonical_edges(data: bytes) -> tuple[int, int, array, array] | None:
+    """(n, m, us, vs) when `data` is exactly the `format_edge_list` text of a
+    graph with at least one edge, whose edges are (us[i], vs[i]); None for any
+    other input.
 
-    Every check runs over the whole input in C, with no per-line objects. On
-    success the sha256 of `data` is the canonical hash, so it is cached too.
+    Every check runs over the whole input in C, with no per-line objects. A
+    canonical input with more than MAX_VERTICES vertices is a GraphError.
     """
     lines = data.count(b"\n")
     # every line is digits, one space, digits, newline, and the last one ends
@@ -263,12 +275,34 @@ def _canonical_graph(data: bytes) -> Graph | None:
     keys = map(add, map(mul, us, repeat(n)), vs)
     if not all(starmap(int.__lt__, pairwise(keys))):
         return None
+    _check_vertex_count(n)
+    return n, m, us, vs
+
+
+def _sorted_edges_graph(n: int, m: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
+    """The graph on 0..n-1 with the m edges (u, v), given with u < v in
+    strictly increasing (u, v) order."""
     lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(us, vs):
         lists[u].append(v)
         lists[v].append(u)
     # each list gets its smaller neighbours first, both runs ascending
-    g = Graph(n, tuple(map(tuple, lists)), m)
+    return Graph(n, tuple(map(tuple, lists)), m)
+
+
+def _whole_graph(data: bytes, edges: tuple[int, int, array, array] | None) -> Graph:
+    """The graph of the input `data`, whose `_canonical_edges` are `edges`.
+
+    A canonical input is built from its edge arrays and its own sha256 is the
+    canonical hash; any other input goes through `parse_edge_list`.
+    """
+    if edges is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
+        return parse_edge_list(text)
+    g = _sorted_edges_graph(*edges)
     g.__dict__["_sha256"] = hashlib.sha256(data).hexdigest()
     return g
 
@@ -281,14 +315,47 @@ def load_graph(path: str | Path) -> Graph:
     other input goes through `parse_edge_list`, decoded as UTF-8.
     """
     data = Path(path).read_bytes()
-    g = _canonical_graph(data)
-    if g is not None:
-        return g
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
-    return parse_edge_list(text)
+    return _whole_graph(data, _canonical_edges(data))
+
+
+def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
+    """Read an edge-list file for a run that keeps only its d-core.
+
+    Returns (graph, ids, sha256): `graph` is induced on a set of input
+    vertices that contains the d-core, `ids[i]` is the input id of its vertex
+    i, in ascending order, and `sha256` is the input's canonical hash.
+
+    A canonical file with 2m < d*n has average degree below d, so some vertex
+    lies outside the d-core. It is filtered on its edge arrays: each round
+    counts the degrees and drops every edge with an endpoint of degree below
+    d, and the first round that keeps more than half of its edges is the last.
+    Each round before it halves the edges, so all rounds together read at most
+    2m of them. Only the vertices of the surviving edges get adjacency lists.
+    A dropped edge has an endpoint outside the d-core that loses every edge
+    in the same round, so the survivors induce exactly the kept edges. Any
+    other input is read as `load_graph` reads it, with ids = range(n).
+    """
+    data = Path(path).read_bytes()
+    edges = _canonical_edges(data)
+    if edges is None or 2 * edges[1] >= d * edges[0]:
+        g = _whole_graph(data, edges)
+        return g, range(g.n), canonical_sha256(g)
+    _, _, us, vs = edges
+    while us:
+        degree = Counter(us)
+        degree.update(vs)
+        high = {v for v, k in degree.items() if k >= d}.__contains__
+        keep = bytes(map(and_, map(high, us), map(high, vs)))
+        before = len(us)
+        us, vs = list(compress(us, keep)), list(compress(vs, keep))
+        if 2 * len(us) > before:
+            break
+    ids = sorted({*us, *vs})
+    local = {v: i for i, v in enumerate(ids)}
+    # the relabelling is monotone, so the edges stay in increasing order
+    g = _sorted_edges_graph(len(ids), len(us), map(local.__getitem__, us),
+                            map(local.__getitem__, vs))
+    return g, ids, hashlib.sha256(data).hexdigest()
 
 
 def save_graph(g: Graph, path: str | Path) -> None:

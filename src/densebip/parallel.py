@@ -33,9 +33,10 @@ def iter_indexed(
 ) -> Iterator[tuple[int, Any]]:
     """Yield (index, fn(args, index)) for index in range(count), in order.
 
-    With workers > 1, indices are dispatched to a process pool in blocks, so a
-    consumer that stops early wastes at most one block of extra trials. `fn`
-    must be a picklable module-level function.
+    With workers > 1, every index goes to a process pool in one `map`, in
+    about four chunks per worker: each consumer reads all of the trials, so
+    no index is computed in vain. `fn` must be a picklable module-level
+    function.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -45,11 +46,8 @@ def iter_indexed(
         return
     import concurrent.futures as cf
 
-    block = max(32, workers * 8)
+    chunk = -(-count // (4 * workers))
     with cf.ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(fn, args)
     ) as pool:
-        for start in range(0, count, block):
-            indices = range(start, min(start + block, count))
-            chunk = max(1, len(indices) // (workers * 2))
-            yield from zip(indices, pool.map(_run_index, indices, chunksize=chunk))
+        yield from enumerate(pool.map(_run_index, range(count), chunksize=chunk))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -12,11 +14,29 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
-from densebip.extractor import Params, SampleOutcome
+from densebip.cli import _params_payload, _rational
+from densebip.extractor import (
+    SIZE_RATIO_BOUND,
+    ExtractionError,
+    Params,
+    SampleOutcome,
+    derive_params,
+    extract,
+)
 from densebip.generators import _check_probability
-from densebip.graph import Graph, GraphError, format_edge_list, from_edge_list, parse_edge_list
-from densebip.reducer import EmptyCoreError, OrderedGraph, d_core
+from densebip.graph import (
+    Graph,
+    GraphError,
+    bipartite_pair_report,
+    canonical_sha256,
+    format_edge_list,
+    from_edge_list,
+    load_graph,
+    parse_edge_list,
+)
+from densebip.reducer import EmptyCoreError, OrderedGraph, d_core, reduce_and_order
 from densebip.rng import stream
+from densebip.stats import mc_potential
 
 
 def cycle_graph(n: int) -> Graph:
@@ -78,6 +98,102 @@ def reference_induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph
 def reference_load_graph(path: str | Path) -> Graph:
     """Reference for `load_graph`: every file through the line parser."""
     return parse_edge_list(Path(path).read_text())
+
+
+def planted_shell(n: int, block: int, shell_edges: int, seed: int) -> Graph:
+    """A K_{block,block} on seeded random ids inside a bipartite shell of
+    `shell_edges` edges whose degrees stay below `block`: the block-core is
+    exactly the block, and the average degree is far below `block`."""
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    left, right, shell = ids[:block], ids[block:2 * block], ids[2 * block:]
+    side_a, side_b = shell[:len(shell) // 2], shell[len(shell) // 2:]
+    edges = {(min(u, v), max(u, v)) for u in left for v in right}
+    degree = [0] * n
+    while len(edges) < block * block + shell_edges:
+        u, v = rng.choice(side_a), rng.choice(side_b)
+        key = (min(u, v), max(u, v))
+        if degree[u] < block - 1 and degree[v] < block - 1 and key not in edges:
+            edges.add(key)
+            degree[u] += 1
+            degree[v] += 1
+    return from_edge_list(n, sorted(edges))
+
+
+def _reference_reduced_input(path, d: int, guarantee: bool):
+    g = load_graph(path)
+    params = derive_params(d, guarantee)
+    og, mapping = reduce_and_order(g, d)
+    return g, params, og, {new: old for old, new in mapping.items()}
+
+
+def _stdout(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_extract_stdout(path, d: int, seed: int, guarantee: bool = True) -> tuple[int, str]:
+    """Reference for `extract --json`: (exit code, stdout) with the whole input
+    built by `load_graph`, reduced, and the pair reported on input ids."""
+    g, params, og, inverse = _reference_reduced_input(path, d, guarantee)
+    try:
+        result = extract(og, params, seed)
+    except ExtractionError as exc:
+        return 1, _stdout({
+            "error": str(exc),
+            "diagnostics": exc.diagnostics,
+            "input_sha256": canonical_sha256(g),
+            "seed": seed,
+            "params": _params_payload(params),
+        })
+    side_i = sorted(inverse[v] for v in result.I)
+    side_j = sorted(inverse[v] for v in result.J)
+    report = bipartite_pair_report(g, side_i, side_j)
+    payload = {
+        "input_sha256": canonical_sha256(g),
+        "seed": seed,
+        "params": _params_payload(params),
+        "reduced_n": og.graph.n,
+        "reduced_m": og.graph.m,
+        "trials_used": result.trials_used,
+        "I": side_i,
+        "J": side_j,
+        "I_size": len(side_i),
+        "J_size": len(side_j),
+        "cross_edges": report.cross_edges,
+        "average_degree": _rational(report.average_degree),
+        "average_degree_float": float(report.average_degree),
+        "valid": report.valid,
+    }
+    if params.guarantee:
+        payload["guarantee_checks"] = {
+            "average_degree_floor": _rational(params.degree_floor),
+            "meets_floor": result.meets_floor,
+            "size_ratio_bound": SIZE_RATIO_BOUND,
+            "size_ratio_ok": True,
+        }
+    failed = not report.valid or result.meets_floor is False
+    return (1 if failed else 0), _stdout(payload)
+
+
+def reference_potential_stdout(
+    path, d: int, seed: int, trials: int, guarantee: bool = True
+) -> tuple[int, str]:
+    """Reference for `stats potential`: (exit code, stdout) with the whole
+    input built by `load_graph` and reduced."""
+    g, params, og, _ = _reference_reduced_input(path, d, guarantee)
+    est, rate = mc_potential(og, params, trials, seed)
+    payload = {
+        "check": "potential",
+        "input_sha256": canonical_sha256(g),
+        "seed": seed,
+        "trials": trials,
+        "params": _params_payload(params),
+        "estimate": asdict(est),
+        "success_rate": rate,
+        "passed": est.passed,
+    }
+    return (0 if est.passed else 1), _stdout(payload)
 
 
 def reference_canonical_sha256(g: Graph) -> str:

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from densebip.cli import main
-from densebip.graph import load_graph, parse_edge_list
+from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
+from densebip.graph import MAX_VERTICES, from_edge_list, load_graph, parse_edge_list, save_graph
+
+from helpers import planted_shell, reference_extract_stdout, reference_potential_stdout
 
 
 def run(capsys, *argv):
@@ -175,6 +178,24 @@ class TestExtract:
         code, _, err = run(capsys, "extract", "--in", str(path), "--d", "16")
         assert code == 2 and "core" in err
 
+    def test_empty_core_of_a_sparse_input_exits_2(self, tmp_path, capsys):
+        # 2m < d*n: the core is sought on the edge arrays, and none survives
+        path = tmp_path / "matching.el"
+        save_graph(from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), path)
+        code, out, err = run(capsys, "extract", "--in", str(path), "--d", "2", "--json")
+        assert code == 2 and out == ""
+        assert err == "error: the 2-core of the input is empty\n"
+
+    @pytest.mark.parametrize("raw", [b"100000000000 1\n0 1\n", b"100000000000 1\r\n0 1\r\n"])
+    def test_huge_vertex_count_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "huge.el"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "extract", "--in", str(path), "--d", "16", "--json")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: vertex count 100000000000 exceeds the limit of {MAX_VERTICES}\n"
+        )
+
     def test_retries_exhausted_exits_1(self, k16_file, capsys):
         code, out, _ = run(
             capsys, "extract", "--in", k16_file, "--d", "16", "--guarantee",
@@ -274,6 +295,22 @@ class TestStats:
     def test_missing_input_exits_2(self, capsys):
         code, _, _ = run(capsys, "stats", "potential", "--d", "16")
         assert code == 2
+
+    @pytest.mark.parametrize("check, flag", [("survival", "--x"), ("conditional", "--y")])
+    def test_vertex_outside_the_core(self, tmp_path, capsys, check, flag):
+        g = planted_shell(400, 16, 400, seed=5)
+        path = tmp_path / "planted.el"
+        save_graph(g, path)
+        block = [v for v in range(g.n) if g.degree(v) >= 16]
+        shell = next(v for v in range(g.n) if 0 < g.degree(v) < 16)
+        argv = ["stats", check, "--in", str(path), "--d", "16", "--guarantee",
+                "--trials", "50", "--seed", "1"]
+        # a shell vertex loses its edges to the filter, before the reduction
+        code, out, err = run(capsys, *argv, flag, str(shell))
+        assert code == 2 and out == ""
+        assert err == f"error: vertex {shell} was dropped by the reduction\n"
+        code, out, _ = run(capsys, *argv, flag, str(block[-1]))
+        assert json.loads(out)["vertex"] == block[-1]
 
     def test_deterministic_json(self, k16_file, capsys):
         args = (
@@ -419,3 +456,39 @@ def test_commands_import_only_what_they_run(k16_file):
     assert unused & steps["extract"] == set()
     assert "densebip.stats" in steps["stats"]
     assert "concurrent.futures" not in steps["stats"]
+
+
+# small versions of the four benchmark inputs, and the planted block with CRLF
+# line ends and a comment, which the line parser reads
+BENCHMARK_SHAPES = {
+    "dense": (lambda: complete_bipartite(16, 16), 16),
+    "shrink": (lambda: random_bipartite(40, 40, 0.6, 13), 16),
+    "sparse": (lambda: planted_shell(1500, 16, 3000, seed=2), 16),
+    "potential": (lambda: c5_blowup(8), 16),
+}
+
+
+@pytest.fixture(scope="module", params=[*BENCHMARK_SHAPES, "sparse crlf"])
+def shape_file(request, tmp_path_factory):
+    build, d = BENCHMARK_SHAPES[request.param.split()[0]]
+    path = tmp_path_factory.mktemp("shapes") / "g.el"
+    save_graph(build(), path)
+    if request.param.endswith("crlf"):
+        path.write_bytes(b"# planted\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+    return str(path), d
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extract_matches_the_whole_graph_run(shape_file, seed, capsys):
+    path, d = shape_file
+    code, out, _ = run(capsys, "extract", "--in", path, "--d", str(d), "--guarantee",
+                       "--seed", str(seed), "--json")
+    assert (code, out) == reference_extract_stdout(path, d, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_potential_matches_the_whole_graph_run(shape_file, seed, capsys):
+    path, d = shape_file
+    code, out, _ = run(capsys, "stats", "potential", "--in", path, "--d", str(d),
+                       "--guarantee", "--seed", str(seed), "--trials", "40")
+    assert (code, out) == reference_potential_stdout(path, d, seed, 40)

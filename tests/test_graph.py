@@ -1,21 +1,27 @@
 import hashlib
+import re
+from itertools import pairwise
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densebip.graph
 from densebip.graph import (
+    MAX_VERTICES,
     GraphError,
     bipartite_pair_report,
     canonical_sha256,
     format_edge_list,
     from_edge_list,
+    load_core,
     load_graph,
     parse_edge_list,
     save_graph,
 )
 from densebip.generators import complete_bipartite
+from densebip.reducer import d_core
 
 from helpers import (
     cycle_graph,
@@ -25,6 +31,7 @@ from helpers import (
     pairset_from_edge_list,
     path_graph,
     petersen_graph,
+    planted_shell,
     random_graph,
     reference_canonical_sha256,
     reference_induced_subgraph,
@@ -482,3 +489,131 @@ class TestLoadGraph:
         el_path.write_bytes(b"3 1\n0 1 # \xff\n")
         with pytest.raises(GraphError, match="not UTF-8"):
             load_graph(el_path)
+
+
+HUGE_HEADER = b"100000000000 1\n0 1\n"
+
+
+class TestVertexLimit:
+    # 10^11 adjacency lists cannot be allocated, so passing means none were
+    def test_from_edge_list(self):
+        with pytest.raises(GraphError, match=f"exceeds the limit of {MAX_VERTICES}"):
+            from_edge_list(MAX_VERTICES + 1, [])
+
+    def test_parse_edge_list(self):
+        with pytest.raises(GraphError, match="vertex count 100000000000 exceeds the limit"):
+            parse_edge_list(HUGE_HEADER.decode())
+
+    @pytest.mark.parametrize("load", [load_graph, lambda path: load_core(path, 2)])
+    @pytest.mark.parametrize("raw", [HUGE_HEADER, HUGE_HEADER.replace(b"\n", b"\r\n")])
+    def test_loaders(self, el_path, load, raw):
+        # the canonical file and its CRLF form, which the line parser reads
+        el_path.write_bytes(raw)
+        with pytest.raises(GraphError, match=f"exceeds the limit of {MAX_VERTICES}"):
+            load(el_path)
+
+
+def _core_ids(path, d):
+    """The d-core found through `load_core`, as input ids, checked against `load_graph`."""
+    g, ids, digest = load_core(path, d)
+    whole = load_graph(path)
+    assert list(ids) == sorted(ids) and len(ids) == g.n
+    assert g == whole.induced_subgraph(ids)[0]
+    assert digest == canonical_sha256(whole)
+    core = [ids[v] for v in d_core(g, d)]
+    assert core == list(d_core(whole, d))
+    return core
+
+
+@pytest.fixture()
+def counted_rounds(monkeypatch):
+    """The number of edge ends each filter round of `load_core` counts."""
+    sizes = []
+
+    class Counting(densebip.graph.Counter):
+        def __init__(self, ends):
+            ends = list(ends)
+            sizes.append(2 * len(ends))  # `update` adds the other ends
+            super().__init__(ends)
+
+    monkeypatch.setattr(densebip.graph, "Counter", Counting)
+    return sizes
+
+
+class TestLoadCore:
+    @given(graphs(max_n=12), st.integers(0, 8))
+    def test_matches_whole_graph(self, el_path, g, d):
+        save_graph(g, el_path)
+        _core_ids(el_path, d)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_near_canonical_matches_whole_graph(self, el_path, data):
+        n = data.draw(st.integers(2, 40))
+        vertex = st.integers(0, n - 1)
+        pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        g = from_edge_list(n, data.draw(st.lists(pairs, min_size=1, max_size=60)))
+        _, raw = _near_canonical(data, g)
+        el_path.write_bytes(raw)
+        d = data.draw(st.integers(1, 6))
+        try:
+            load_graph(el_path)
+        except GraphError as exc:
+            with pytest.raises(GraphError, match=re.escape(str(exc))):
+                load_core(el_path, d)
+            return
+        _core_ids(el_path, d)
+
+    def test_dense_input_is_built_whole(self, el_path, counted_rounds):
+        g = complete_bipartite(4, 4)
+        save_graph(g, el_path)
+        got, ids, _ = load_core(el_path, 4)  # 2m = d*n
+        assert got == g and ids == range(8) and counted_rounds == []
+
+    def test_planted_block(self, el_path, counted_rounds):
+        g = planted_shell(600, 8, 900, seed=3)
+        save_graph(g, el_path)
+        core = _core_ids(el_path, 8)
+        assert len(core) == 16
+        got, ids, _ = load_core(el_path, 8)
+        # the shell goes in the first round, the block survives the second
+        assert list(ids) == core and got.m == 64
+        assert counted_rounds[-2:] == [2 * g.m, 128]
+
+    def test_long_peel_chain_stays_within_halving_bound(self, el_path, counted_rounds):
+        # a complete ternary tree hanging from K_{3,3}: at d = 3 every round
+        # drops the lowest level of the tree, two thirds of its edges
+        depth, edges = 7, [(u, v) for u in range(3) for v in range(3, 6)]
+        level, size = [0], 6
+        for _ in range(depth):
+            below = []
+            for parent in level:
+                for _child in range(3):
+                    edges.append((parent, size))
+                    below.append(size)
+                    size += 1
+            level = below
+        g = from_edge_list(size, edges)
+        save_graph(g, el_path)
+        assert _core_ids(el_path, 3) == list(range(6))
+        sizes = counted_rounds
+        assert len(sizes) == 6 and sizes[0] == 2 * g.m
+        assert all(2 * later <= earlier for earlier, later in pairwise(sizes))
+        assert sum(sizes) <= 4 * g.m
+
+    def test_path_is_left_to_the_peel(self, el_path, counted_rounds):
+        # a 6-cycle with a path hanging from it and one isolated vertex; each
+        # round would take one edge off the path's end, so the first round
+        # keeps more than half of the edges and is the last
+        edges = [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(5, 60)]
+        g = from_edge_list(62, edges)
+        save_graph(g, el_path)
+        assert _core_ids(el_path, 2) == list(range(6))
+        assert counted_rounds == [2 * g.m]
+        assert load_core(el_path, 2)[1] == list(range(60))
+
+    def test_empty_core(self, el_path):
+        g = from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        save_graph(g, el_path)
+        got, ids, digest = load_core(el_path, 2)
+        assert got.n == 0 and list(ids) == [] and digest == canonical_sha256(g)
