@@ -13,12 +13,13 @@ is strictly positive (all arithmetic exact rationals); a positive potential
 certifies the supported set is large yet sparse, so a greedy independent set
 inside it yields the second side J with the promised size and degree bounds.
 
-The layer, its edge count and the support counts are computed on Python-int
-bitmasks over the core's vertex ids: the ordered graph caches, per vertex, a
-neighbor mask and a holder mask (the vertices whose candidate set contains
-it), each built on first use. A mask takes at most n/8 bytes for an n-vertex
-core, so a trial costs at most n/8 bytes per vertex it touches the first
-time, and the trial path builds no frozenset of neighbors.
+The survivors, the layer, its edge count and the support counts are computed
+on Python-int bitmasks over the core's vertex ids: the ordered graph caches,
+per vertex, a left-neighbor mask, a neighbor mask and a holder mask (the
+vertices whose candidate set contains it), each built on first use. A mask
+takes at most n/8 bytes for an n-vertex core, so a trial costs at most n/8
+bytes per vertex it touches the first time, and the trial path builds no
+frozenset of neighbors.
 """
 
 from __future__ import annotations
@@ -203,19 +204,13 @@ def require_vertex(og: OrderedGraph, v: int) -> None:
 
 
 def left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
-    """The members of `sampled` with no sampled left-neighbor, in the given order."""
-    membership = bytearray(og.graph.n)
-    for v in sampled:
-        membership[v] = 1
-    left = og.left_neighbors
-    out = []
-    for x in sampled:
-        for w in left[x]:
-            if membership[w]:
-                break
-        else:
-            out.append(x)
-    return out
+    """The members of `sampled` with no sampled left-neighbor, in the given order.
+
+    Each member's cached left mask is cut by one bitmask of the sample.
+    """
+    sampled_mask = bitmask(sampled)
+    left = og.left_masks
+    return [x for x in sampled if not left[x] & sampled_mask]
 
 
 def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
@@ -273,11 +268,12 @@ def supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> lis
 
 
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
-    """Draw one trial from `rng` (a random.Random, usually a seeded stream, or
-    anything with getrandbits).
+    """Draw one trial from `rng`: a random.Random, usually a seeded stream, or
+    anything whose getrandbits(k) gives the same 32-bit words for any k.
 
     Sampling goes through `sampled_members`, so the per-vertex probability is
-    exactly 1/d and the stream is consumed as by one randrange(d) per vertex.
+    exactly 1/d and the stream is consumed as by one randrange(d) per vertex,
+    though most of it is drawn as one getrandbits block of a word per vertex.
     """
     require_compatible(og, params)
     sampled = sampled_members(rng, range(og.graph.n), params.d)

@@ -69,8 +69,9 @@ class OrderedGraph:
     order[i] is the vertex at position i; left_neighbors[v] are the neighbors
     of v that appear earlier in the order (at most d of them); candidate_sets[v]
     is a fixed subset of exactly d neighbors of v (the d smallest ids).
-    neighbor_masks and holder_masks hold the adjacency lists and
-    candidate_index as per-vertex int bitmasks for the trial kernel.
+    neighbor_masks, holder_masks and left_masks hold the adjacency lists,
+    candidate_index and left_neighbors as per-vertex int bitmasks for the
+    trial kernel.
     """
 
     graph: Graph
@@ -97,6 +98,11 @@ class OrderedGraph:
     def holder_masks(self) -> VertexMasks:
         """holder_masks[x] has bit y set for each y whose candidate set contains x."""
         return VertexMasks(self.candidate_index)
+
+    @cached_property
+    def left_masks(self) -> VertexMasks:
+        """left_masks[v] has bit w set for each left-neighbor w of v."""
+        return VertexMasks(self.left_neighbors)
 
 
 def _peel(

@@ -9,14 +9,17 @@ trials can be evaluated in any order, thread, or process without changing
 results.
 
 Vertex sampling at rate 1/d goes through ``sampled_members``, which runs
-CPython's own ``randrange(d)`` rejection loop on ``getrandbits`` inline: the
-stream is consumed exactly as ``randrange(d)`` would consume it, and each
-vertex is sampled with probability exactly 1/d.
+CPython's own ``randrange(d)`` rejection loop on ``getrandbits``: the stream is
+consumed exactly as ``randrange(d)`` would consume it, and each vertex is
+sampled with probability exactly 1/d. For d < 2**32 it first draws one block
+of 32-bit Mersenne Twister words, one per vertex, and classifies the words by
+their top byte in C; the rejection loop finishes the vertices the block did not.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 increment
@@ -42,19 +45,73 @@ def stream(master_seed: int, index: int) -> random.Random:
     return random.Random(stream_seed(master_seed, index))
 
 
+# Classes of a 32-bit word under d: kept (accepted, not 0), sampled (drew 0),
+# rejected (>= d, redrawn), or unsure (its top byte spans two classes).
+_KEPT, _SAMPLED, _REJECTED, _UNSURE = b"\x00", b"\x01", b"\x02", b"\x03"
+
+
+def _word_class(word: int, d: int) -> bytes:
+    """The class of one word, of which getrandbits(k) keeps the top k = d.bit_length() bits."""
+    shift = 32 - d.bit_length()
+    if word >= d << shift:
+        return _REJECTED
+    return _SAMPLED if word < 1 << shift else _KEPT
+
+
+@lru_cache
+def _top_byte_classes(d: int) -> bytes:
+    """At index b, the class of every word with top byte b, or unsure; 1 <= d < 2**32.
+
+    Words go from sampled to kept to rejected as they grow, so the first and
+    last word of a byte decide. For d < 256 both bounds, 1 << (32 - k) and
+    d << (32 - k), are multiples of 2**24 and no byte is unsure.
+    """
+    table = []
+    for b in range(256):
+        first, last = _word_class(b << 24, d), _word_class(b << 24 | 0xFFFFFF, d)
+        table.append(first if first == last else _UNSURE)
+    return b"".join(table)
+
+
 def sampled_members(rng, vertices, d: int) -> list[int]:
-    """The members of `vertices`, in order, for which randrange(d) would draw 0.
+    """The members of the sequence `vertices`, in order, for which
+    randrange(d) would draw 0.
 
     Each draw repeats ``getrandbits(d.bit_length())`` until it is below d, as
     ``Random.randrange(d)`` does, so `rng` ends in the same state as after one
-    ``randrange(d)`` call per vertex.
+    ``randrange(d)`` call per vertex. For d < 2**32 the first draws come from
+    one ``getrandbits(32 * len(vertices))`` block, whose word i is the i-th
+    32-bit word a ``getrandbits(k <= 32)`` call would shift down to k bits. So
+    `rng` must be a ``random.Random``, or give the same words for any
+    ``getrandbits(k)``.
+
+    A block of n words holds at most n accepted draws: the j-th accepted word
+    is vertex j's, and trailing rejected words belong to the first vertex not
+    finished, whose rejection loop continues from there.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     getrandbits = rng.getrandbits
     k = d.bit_length()
+    n = len(vertices)
     out = []
-    for v in vertices:
+    done = 0
+    if k <= 32 and n:
+        raw = getrandbits(32 * n).to_bytes(4 * n, "little")
+        classes = raw[3::4].translate(_top_byte_classes(d))  # word i's top byte
+        if _UNSURE in classes:
+            classes = bytearray(classes)
+            i = classes.find(_UNSURE)
+            while i >= 0:
+                classes[i:i + 1] = _word_class(int.from_bytes(raw[4 * i:4 * i + 4], "little"), d)
+                i = classes.find(_UNSURE, i + 1)
+        flags = classes.translate(None, _REJECTED)  # one flag per finished vertex
+        done = len(flags)
+        i = flags.find(_SAMPLED)
+        while i >= 0:
+            out.append(vertices[i])
+            i = flags.find(_SAMPLED, i + 1)
+    for v in vertices[done:]:
         r = getrandbits(k)
         while r >= d:
             r = getrandbits(k)

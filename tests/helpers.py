@@ -481,20 +481,12 @@ def reference_supported_members(og: OrderedGraph, survivors, layer, threshold: i
     return [y for y in layer if support[y] >= threshold]
 
 
-def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
-    """Reference for `sample_trial`: one randrange(d) per vertex, then full
-    hit, layer-edge and support passes over every vertex."""
-    if og.d != params.d:
-        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
-    n = og.graph.n
-    d = params.d
-    membership = bytearray(n)
-    sampled = []
-    randrange = rng.randrange
-    for v in range(n):
-        if randrange(d) == 0:
-            membership[v] = 1
-            sampled.append(v)
+def reference_left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
+    """Reference for `left_minimal_members`: mark the sample in a bytearray and
+    scan each member's left-neighbor list."""
+    membership = bytearray(og.graph.n)
+    for v in sampled:
+        membership[v] = 1
     left = og.left_neighbors
     survivors = []
     for x in sampled:
@@ -503,6 +495,16 @@ def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutco
                 break
         else:
             survivors.append(x)
+    return survivors
+
+
+def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
+    """Reference for `sample_trial`: one randrange(d) per vertex, then full
+    hit, layer-edge and support passes over every vertex."""
+    if og.d != params.d:
+        raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
+    sampled = [v for v in range(og.graph.n) if rng.randrange(params.d) == 0]
+    survivors = reference_left_minimal_members(og, sampled)
     layer, layer_edges = reference_hit_layer(og, sampled, params.ell)
     supported = reference_supported_members(og, survivors, layer, params.threshold)
     phi = reference_potential_value(len(supported), layer_edges, len(sampled), params)

@@ -196,6 +196,14 @@ class TestExtract:
             f"error: vertex count 100000000000 exceeds the limit of {MAX_VERTICES}\n"
         )
 
+    @pytest.mark.parametrize("command", [["extract"], ["stats", "potential"]])
+    def test_bad_d_is_refused_before_the_file_is_read(self, tmp_path, capsys, command):
+        path = tmp_path / "malformed.el"
+        path.write_text("2 1\n0 x\n")
+        code, out, err = run(capsys, *command, "--in", str(path), "--d", "1", "--guarantee")
+        assert code == 2 and out == ""
+        assert err == "error: guarantee mode needs d >= 16, got 1\n"
+
     def test_retries_exhausted_exits_1(self, k16_file, capsys):
         code, out, _ = run(
             capsys, "extract", "--in", k16_file, "--d", "16", "--guarantee",

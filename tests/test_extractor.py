@@ -18,6 +18,7 @@ from densebip.extractor import (
     extract,
     greedy_independent_set,
     hit_layer,
+    left_minimal_members,
     potential,
     potential_value,
     sample_trial,
@@ -35,6 +36,7 @@ from helpers import (
     cycle_graph,
     random_graph,
     reference_hit_layer,
+    reference_left_minimal_members,
     reference_potential_value,
     reference_sample_trial,
     reference_supported_members,
@@ -47,19 +49,31 @@ def hit_target_highprec(d: int) -> int:
 
 
 class FixedRng:
-    """randrange/getrandbits stub: yields scripted values, then a constant."""
+    """Mersenne Twister stand-in for draws below d: yields scripted randrange(d)
+    values, then a constant, as 32-bit words.
 
-    def __init__(self, values, tail=1):
+    Each value r is the word r << (32 - k), k = d.bit_length(). getrandbits
+    joins words little-endian and cuts the last to its top bits, as
+    random.Random does, so getrandbits(k) gives r back and getrandbits(32 c)
+    holds c words.
+    """
+
+    def __init__(self, values, tail=1, *, d):
         self.values = list(values)
         self.tail = tail
+        self.shift = 32 - d.bit_length()
 
     def randrange(self, _n):
         if self.values:
             return self.values.pop(0)
         return self.tail
 
-    def getrandbits(self, _k):
-        return self.randrange(_k)
+    def getrandbits(self, k):
+        bits = 0
+        for i in range(0, k, 32):
+            word = self.randrange(None) << self.shift
+            bits |= word >> max(0, 32 - (k - i)) << i
+        return bits
 
 
 class TestDeriveParams:
@@ -119,7 +133,7 @@ class TestSampleTrial:
     def test_forced_empty_sample(self):
         og = build_ordered(complete_bipartite(3, 3), 3)
         p3 = Params(3, 1, Fraction(1, 3), Fraction(exact_q(3, 1)), 1, False)
-        out = sample_trial(og, p3, FixedRng([], tail=1))
+        out = sample_trial(og, p3, FixedRng([], tail=1, d=3))
         assert out.sampled == () and out.survivors == ()
         assert out.layer == () and out.supported == ()
         assert out.layer_edges == 0
@@ -129,14 +143,14 @@ class TestSampleTrial:
         # with ell=2 and one entire side sampled, the other side sees 3 hits
         og = build_ordered(complete_bipartite(3, 3), 3)
         p = Params(3, 2, Fraction(1, 3), Fraction(exact_q(3, 2)), 1, False)
-        out = sample_trial(og, p, FixedRng([0, 0, 0], tail=1))
+        out = sample_trial(og, p, FixedRng([0, 0, 0], tail=1, d=3))
         assert out.sampled == (0, 1, 2)
         assert out.layer == ()
 
     def test_negative_potential_when_layer_empty_but_sample_not(self):
         og = build_ordered(complete_bipartite(3, 3), 3)
         p = Params(3, 2, Fraction(1, 3), Fraction(exact_q(3, 2)), 1, False)
-        out = sample_trial(og, p, FixedRng([0, 0, 0], tail=1))
+        out = sample_trial(og, p, FixedRng([0, 0, 0], tail=1, d=3))
         assert out.potential < 0
 
     def test_invariants_on_corpus(self):
@@ -268,15 +282,21 @@ class TestTrialKernelOracle:
             reference_supported_members(og, survivors, layer, threshold)
         )
 
+    @given(ragged_cores(), st.data())
+    def test_left_minimal_members_matches_list_scan(self, og, data):
+        sampled = data.draw(st.permutations(vertex_subset(data, og.graph.n)))
+        assert left_minimal_members(og, sampled) == reference_left_minimal_members(og, sampled)
+
     def test_masks_survive_pickling(self):
         og, _ = reduce_and_order(c5_blowup(12), 24)
         params = derive_params(24, True)
         for i in range(20):
             sample_trial(og, params, stream(3, i))
-        assert og.__dict__["holder_masks"] and og.__dict__["neighbor_masks"]
+        masks = ("holder_masks", "neighbor_masks", "left_masks")
+        assert all(og.__dict__[name] for name in masks)
         clone = pickle.loads(pickle.dumps(og))
-        assert clone.__dict__["holder_masks"] == og.__dict__["holder_masks"]
-        assert clone.__dict__["neighbor_masks"] == og.__dict__["neighbor_masks"]
+        for name in masks:
+            assert clone.__dict__[name] == og.__dict__[name]
         for i in range(60):
             assert sample_trial(clone, params, stream(3, i)) == sample_trial(og, params, stream(3, i))
 

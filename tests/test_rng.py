@@ -1,8 +1,21 @@
-"""Frozen-value checks: any drift here breaks every seeded result downstream."""
+"""Frozen-value checks and randrange replays: any drift here breaks every
+seeded result downstream."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densebip.rng import mix64, sampled_members, stream, stream_seed
+from densebip.rng import (
+    _UNSURE,
+    _top_byte_classes,
+    _word_class,
+    mix64,
+    sampled_members,
+    stream,
+    stream_seed,
+)
 
 
 def test_stream_seed_frozen_values():
@@ -54,3 +67,48 @@ def test_sampled_members_keeps_vertex_order_and_rejects_bad_d():
     assert sampled_members(stream(0, 0), vertices, 1) == vertices
     with pytest.raises(ValueError):
         sampled_members(stream(0, 0), vertices, 0)
+
+
+# d whose draw thresholds fall inside a top byte, so some words need their full
+# value; 2**32 is the first d drawn without the word block (k = 33)
+UNSURE_DS = [257, 1000, 2**31 + 5, 2**32 - 1, 2**32]
+
+degrees = st.one_of(
+    st.integers(1, 2**34),
+    st.builds(lambda e, off: max(1, 2**e + off), st.integers(0, 34), st.integers(-1, 1)),
+    st.sampled_from(UNSURE_DS),
+    st.integers(256, 2**32 - 1),
+)
+
+
+@st.composite
+def vertex_sequences(draw):
+    """A range, tuple or list of up to 600 vertex ids, possibly empty."""
+    kind = draw(st.sampled_from(["range", "tuple", "list"]))
+    if kind == "range":
+        start = draw(st.integers(0, 1000))
+        return range(start, start + draw(st.integers(0, 600)))
+    ids = draw(st.lists(st.integers(0, 10**6), max_size=600))
+    return tuple(ids) if kind == "tuple" else ids
+
+
+@settings(max_examples=300)
+@given(degrees, vertex_sequences(), st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+def test_sampled_members_matches_randrange_replay(d, vertices, seed, index):
+    ours, theirs = stream(seed, index), stream(seed, index)
+    assert sampled_members(ours, vertices, d) == [v for v in vertices if theirs.randrange(d) == 0]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 24, 120, 255, 256, *UNSURE_DS[:-1]])
+def test_top_byte_classes_agree_with_the_words_of_each_byte(d):
+    table = _top_byte_classes(d)
+    rng = random.Random(d)
+    for b in range(256):
+        words = {(b << 24) | rng.getrandbits(24) for _ in range(64)}
+        classes = {_word_class(w, d) for w in words | {b << 24, (b << 24) | 0xFFFFFF}}
+        if table[b:b + 1] != _UNSURE:
+            assert classes == {table[b:b + 1]}
+    # only the bytes holding 1 << (32 - k) or d << (32 - k) can be unsure
+    assert 0 <= table.count(_UNSURE) <= 2
+    assert (_UNSURE in table) == (d >= 256)
