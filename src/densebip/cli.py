@@ -7,10 +7,10 @@ output is byte-identical for identical inputs, seeds, and flags regardless of
 the worker count.
 
 `extract` and `stats` read their input through one helper, `_reduced_input`:
-`derive_params`, `load_core` (which may skip the adjacency of vertices outside
-the d-core), `reduce_and_order`, and the input id of each core vertex.
-They work on core ids throughout, including the pair report, and translate
-to input ids only for `--x`/`--y` and the printed output.
+`check_degree`, `load_core` (which may skip the adjacency of vertices outside
+the d-core), `derive_params`, `reduce_and_order`, and the input id of each core
+vertex. They work on core ids throughout, including the pair report, and
+translate to input ids only for `--x`/`--y` and the printed output.
 
 Importing this module loads only what `extract` runs: the graph, reducer,
 extractor and rng modules. The functions that `gen`, `oracle` and `stats`
@@ -36,6 +36,7 @@ from .extractor import (
     ParamsError,
     Params,
     SIZE_RATIO_BOUND,
+    check_degree,
     derive_params,
     extract,
 )
@@ -155,8 +156,9 @@ def _reduced_input(args: argparse.Namespace) -> tuple[str, Params, OrderedGraph,
     is the input id of core vertex v; it is ascending, as both `load_core` and
     the reduction relabel in ascending id.
     """
-    params = derive_params(args.d, args.guarantee)  # a bad --d fails before the read
+    check_degree(args.d, args.guarantee)  # a bad --d fails before the read
     g, ids, sha256 = load_core(args.infile, args.d)
+    params = derive_params(args.d, args.guarantee)
     og, mapping = reduce_and_order(g, args.d)
     return sha256, params, og, tuple(ids[v] for v in sorted(mapping))
 

@@ -120,6 +120,18 @@ class Params:
         return Fraction(self.ell, DEGREE_FLOOR_DENOM)
 
 
+def check_degree(d: int, guarantee_mode: bool) -> None:
+    """Raise ParamsError if d is below the least degree of the mode.
+
+    The first check of `derive_params`, which needs no arithmetic, so a caller
+    can refuse a bad d before it reads its input.
+    """
+    if guarantee_mode and d < GUARANTEE_MIN_DEGREE:
+        raise ParamsError(f"guarantee mode needs d >= {GUARANTEE_MIN_DEGREE}, got {d}")
+    if d < BEST_EFFORT_MIN_DEGREE:
+        raise ParamsError(f"d must be at least {BEST_EFFORT_MIN_DEGREE}, got {d}")
+
+
 def derive_params(d: int, guarantee_mode: bool) -> Params:
     """Build Params for degree d.
 
@@ -128,10 +140,7 @@ def derive_params(d: int, guarantee_mode: bool) -> Params:
     Best-effort mode accepts d >= 2 and clamps ell into [1, d]; the formula
     can leave that range for tiny d (d = 3 gives 11).
     """
-    if guarantee_mode and d < GUARANTEE_MIN_DEGREE:
-        raise ParamsError(f"guarantee mode needs d >= {GUARANTEE_MIN_DEGREE}, got {d}")
-    if d < BEST_EFFORT_MIN_DEGREE:
-        raise ParamsError(f"d must be at least {BEST_EFFORT_MIN_DEGREE}, got {d}")
+    check_degree(d, guarantee_mode)
     raw = target_hit_count(d)
     ell = raw if guarantee_mode else min(d, max(1, raw))
     q_float = exact_q(d, ell)
@@ -273,7 +282,8 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
 
     Sampling goes through `sampled_members`, so the per-vertex probability is
     exactly 1/d and the stream is consumed as by one randrange(d) per vertex,
-    though most of it is drawn as one getrandbits block of a word per vertex.
+    though for d < 256 most of it is drawn as one getrandbits block of a word
+    per vertex.
     """
     require_compatible(og, params)
     sampled = sampled_members(rng, range(og.graph.n), params.d)

@@ -11,8 +11,8 @@ results.
 Vertex sampling at rate 1/d goes through ``sampled_members``, which runs
 CPython's own ``randrange(d)`` rejection loop on ``getrandbits``: the stream is
 consumed exactly as ``randrange(d)`` would consume it, and each vertex is
-sampled with probability exactly 1/d. For d < 2**32 it first draws one block
-of 32-bit Mersenne Twister words, one per vertex, and classifies the words by
+sampled with probability exactly 1/d. For d < 256 it first draws one block of
+32-bit Mersenne Twister words, one per vertex, and classifies the words by
 their top byte in C; the rejection loop finishes the vertices the block did not.
 """
 
@@ -45,32 +45,17 @@ def stream(master_seed: int, index: int) -> random.Random:
     return random.Random(stream_seed(master_seed, index))
 
 
-# Classes of a 32-bit word under d: kept (accepted, not 0), sampled (drew 0),
-# rejected (>= d, redrawn), or unsure (its top byte spans two classes).
-_KEPT, _SAMPLED, _REJECTED, _UNSURE = b"\x00", b"\x01", b"\x02", b"\x03"
-
-
-def _word_class(word: int, d: int) -> bytes:
-    """The class of one word, of which getrandbits(k) keeps the top k = d.bit_length() bits."""
-    shift = 32 - d.bit_length()
-    if word >= d << shift:
-        return _REJECTED
-    return _SAMPLED if word < 1 << shift else _KEPT
-
-
 @lru_cache
-def _top_byte_classes(d: int) -> bytes:
-    """At index b, the class of every word with top byte b, or unsure; 1 <= d < 2**32.
+def _top_byte_draws(d: int) -> tuple[bytes, bytes]:
+    """For 1 <= d < 256: which top bytes of a 32-bit word draw 0, and which are rejected.
 
-    Words go from sampled to kept to rejected as they grow, so the first and
-    last word of a byte decide. For d < 256 both bounds, 1 << (32 - k) and
-    d << (32 - k), are multiples of 2**24 and no byte is unsure.
+    getrandbits(k) keeps the top k = d.bit_length() <= 8 bits of its word, so
+    the draw is the top byte shifted down by 8 - k. The table maps a top byte
+    to 1 when that draw is 0 and to 0 otherwise; the second value lists the
+    top bytes whose draw is >= d.
     """
-    table = []
-    for b in range(256):
-        first, last = _word_class(b << 24, d), _word_class(b << 24 | 0xFFFFFF, d)
-        table.append(first if first == last else _UNSURE)
-    return b"".join(table)
+    shift = 8 - d.bit_length()
+    return bytes(b >> shift == 0 for b in range(256)), bytes(range(d << shift, 256))
 
 
 def sampled_members(rng, vertices, d: int) -> list[int]:
@@ -79,7 +64,7 @@ def sampled_members(rng, vertices, d: int) -> list[int]:
 
     Each draw repeats ``getrandbits(d.bit_length())`` until it is below d, as
     ``Random.randrange(d)`` does, so `rng` ends in the same state as after one
-    ``randrange(d)`` call per vertex. For d < 2**32 the first draws come from
+    ``randrange(d)`` call per vertex. For d < 256 the first draws come from
     one ``getrandbits(32 * len(vertices))`` block, whose word i is the i-th
     32-bit word a ``getrandbits(k <= 32)`` call would shift down to k bits. So
     `rng` must be a ``random.Random``, or give the same words for any
@@ -96,21 +81,15 @@ def sampled_members(rng, vertices, d: int) -> list[int]:
     n = len(vertices)
     out = []
     done = 0
-    if k <= 32 and n:
-        raw = getrandbits(32 * n).to_bytes(4 * n, "little")
-        classes = raw[3::4].translate(_top_byte_classes(d))  # word i's top byte
-        if _UNSURE in classes:
-            classes = bytearray(classes)
-            i = classes.find(_UNSURE)
-            while i >= 0:
-                classes[i:i + 1] = _word_class(int.from_bytes(raw[4 * i:4 * i + 4], "little"), d)
-                i = classes.find(_UNSURE, i + 1)
-        flags = classes.translate(None, _REJECTED)  # one flag per finished vertex
+    if k <= 8 and n:
+        sampled, rejected = _top_byte_draws(d)
+        # word i's top byte; dropping the rejected ones leaves one flag per finished vertex
+        flags = getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(sampled, rejected)
         done = len(flags)
-        i = flags.find(_SAMPLED)
+        i = flags.find(1)
         while i >= 0:
             out.append(vertices[i])
-            i = flags.find(_SAMPLED, i + 1)
+            i = flags.find(1, i + 1)
     for v in vertices[done:]:
         r = getrandbits(k)
         while r >= d:
