@@ -9,14 +9,15 @@ processes without synchronization.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, pairwise, repeat, starmap
-from operator import add, and_, mul
+from itertools import compress, repeat
+from operator import add, and_, lt, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -243,7 +244,21 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
+# Once '-' is ruled out, JSON's integer grammar 0|[1-9][0-9]* is exactly the
+# canonical token grammar: leading zeros and empty tokens are JSON errors
+_COMMAS = bytes.maketrans(b" \n", b",,")
+# bytes of edge lines parsed at a time: a chunk ends at the first newline this
+# far past its start, so only one chunk's int objects are alive at a time
+_CHUNK = 1 << 16
+
+
+def _tokens(lines: bytes) -> list[int]:
+    """The numbers of `lines`, "u v" lines joined by newlines, parsed in C.
+
+    Raises ValueError for an empty token, a leading zero or a token past the
+    interpreter's digit limit.
+    """
+    return json.loads(b"[" + lines.translate(_COMMAS) + b"]")
 
 
 def _canonical_edges(data: bytes) -> tuple[int, int, array, array] | None:
@@ -251,29 +266,43 @@ def _canonical_edges(data: bytes) -> tuple[int, int, array, array] | None:
     graph with at least one edge, whose edges are (us[i], vs[i]); None for any
     other input.
 
-    Every check runs over the whole input in C, with no per-line objects. A
-    canonical input with more than MAX_VERTICES vertices is a GraphError.
+    The layout is checked over the whole input in C. The edge lines are then
+    parsed and checked chunk by chunk, each chunk's numbers dropped once they
+    are in the int64 arrays. A canonical input with more than MAX_VERTICES
+    vertices is a GraphError.
     """
     lines = data.count(b"\n")
-    # every line is digits, one space, digits, newline, and the last one ends
-    if lines < 2 or data.translate(None, b"0123456789") != b" \n" * lines:
+    # every line is digits, one space, digits, newline; without the endswith
+    # test, digits after the last newline would pass the translate test
+    if (lines < 2 or not data.endswith(b"\n")
+            or data.translate(None, b"0123456789") != b" \n" * lines):
         return None
-    if (data[:1] == b"0" and data[1:2].isdigit()) or _LEADING_ZERO.search(data):
-        return None
+    head = data.index(b"\n")
+    end = len(data) - 1  # the final newline
+    us, vs = array("q"), array("q")
     try:
-        nums = array("q", map(int, data.split()))
-    except OverflowError:
-        return None
-    if len(nums) != 2 * lines:  # an empty number somewhere
-        return None
-    n, m = nums[0], nums[1]
-    us, vs = nums[2::2], nums[3::2]
-    del nums  # not held while the adjacency lists grow: peak RSS
-    if m != lines - 1 or max(vs) >= n or not all(map(int.__lt__, us, vs)):
-        return None
-    # edges in strictly increasing (u, v) order: sorted and free of repeats
-    keys = map(add, map(mul, us, repeat(n)), vs)
-    if not all(starmap(int.__lt__, pairwise(keys))):
+        n, m = _tokens(data[:head])
+        if m != lines - 1:
+            return None
+        last = -1  # key of the previous chunk's last edge
+        start = head + 1
+        while start < end:
+            stop = data.find(b"\n", start + _CHUNK)
+            if stop < 0:
+                stop = end
+            nums = _tokens(data[start:stop])
+            cu, cv = nums[::2], nums[1::2]
+            if max(cv) >= n or not all(map(lt, cu, cv)):
+                return None
+            # edges in strictly increasing (u, v) order: sorted and free of repeats
+            keys = [last, *map(add, map(mul, cu, repeat(n)), cv)]
+            if not all(map(lt, keys, keys[1:])):
+                return None
+            last = keys[-1]
+            us.fromlist(cu)
+            vs.fromlist(cv)
+            start = stop + 1
+    except (ValueError, OverflowError):  # a token off the grammar or past int64
         return None
     _check_vertex_count(n)
     return n, m, us, vs

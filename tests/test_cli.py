@@ -196,6 +196,18 @@ class TestExtract:
             f"error: vertex count 100000000000 exceeds the limit of {MAX_VERTICES}\n"
         )
 
+    @pytest.mark.parametrize("raw", [b"3 1\n" + b"9" * 5000 + b" 1\n",
+                                     b"3 1\r\n" + b"9" * 5000 + b" 1\r\n"])
+    def test_over_long_token_exits_2(self, tmp_path, capsys, raw):
+        # past the int digit limit (CPython 3.10.7+): a bad edge line, never
+        # the bare int() error; without the limit the token is out of range
+        path = tmp_path / "long.el"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "extract", "--in", str(path), "--d", "2", "--json")
+        assert code == 2 and out == ""
+        limited = hasattr(sys, "get_int_max_str_digits")
+        assert err.startswith("error: bad edge line" if limited else "error: edge (")
+
     @pytest.mark.parametrize("command", [["extract"], ["stats", "potential"]])
     def test_bad_d_is_refused_before_the_file_is_read(self, tmp_path, capsys, command):
         path = tmp_path / "malformed.el"

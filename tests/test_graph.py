@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from itertools import pairwise
 from fractions import Fraction
 
@@ -394,6 +395,7 @@ def _near_canonical(data, g):
     lines = text.splitlines()
     head, body = text.split("\n", 1)
     big = str(2**63)
+    long = "9" * 5000
 
     def edit_line(i, f):
         out = list(lines)
@@ -430,6 +432,12 @@ def _near_canonical(data, g):
         "huge m": f"{g.n} {big}\n{body}",
         "no final newline": text[:-1],
         "token >= 2**63": edit_line(i, lambda line: f"{u} {big}"),
+        # past the int digit limit of CPython 3.10.7+
+        "5000-digit token in u": edit_line(i, lambda line: f"{long} {v}"),
+        "5000-digit token in v": edit_line(i, lambda line: f"{u} {long}"),
+        "5000-digit token in header": f"{long} {g.m}\n{body}",
+        # passes the layout check, which needs no newline after the last line
+        "trailing digits": text + "57",
         "empty": "",
         "header only": head + "\n",
         "canonical": text,
@@ -617,3 +625,114 @@ class TestLoadCore:
         save_graph(g, el_path)
         got, ids, digest = load_core(el_path, 2)
         assert got.n == 0 and list(ids) == [] and digest == canonical_sha256(g)
+
+
+def _chunk_firsts(raw):
+    """Indices of the lines (the header is line 0) that begin a chunk of the
+    canonical loader: a chunk ends at the first newline `_CHUNK` or more bytes
+    past its start."""
+    firsts = []
+    start = raw.index(b"\n") + 1
+    while start < len(raw):
+        firsts.append(raw.count(b"\n", 0, start))
+        stop = raw.find(b"\n", start + densebip.graph._CHUNK)
+        if stop < 0:
+            break
+        start = stop + 1
+    return firsts
+
+
+def _swapped(lines, b):
+    out = list(lines)
+    out[b - 1], out[b] = out[b], out[b - 1]
+    return out
+
+
+def _duplicated(lines, b):
+    # line b - 1 again as line b, and counted in the header
+    n, m = lines[0].split()
+    return [f"{n} {int(m) + 1}", *lines[1:b], lines[b - 1], *lines[b:]]
+
+
+def _leading_zero(lines, b):
+    out = list(lines)
+    out[b] = "0" + out[b]
+    return out
+
+
+def _reversed(lines, b):
+    out = list(lines)
+    u, v = out[b - 1].split()
+    out[b - 1] = f"{v} {u}"
+    return out
+
+
+# each edit touches line b - 1, line b or both, meant to end and begin two chunks
+CHUNK_EDITS = {
+    "none": lambda lines, b: lines,
+    "swap across": _swapped,
+    "duplicate across": _duplicated,
+    "leading zero on a first line": _leading_zero,
+    "reversed last line": _reversed,
+}
+
+
+@pytest.fixture(scope="module")
+def shell_text():
+    # about 180 KB of edge lines: three chunks
+    return format_edge_list(planted_shell(16_000, 8, 17_000, seed=5))
+
+
+class TestChunkBoundaries:
+    def test_chunks_begin_where_the_edits_expect(self, shell_text, monkeypatch):
+        raw = shell_text.encode()
+        firsts = []  # the first line of each chunk, as the loader parses it
+        tokens = densebip.graph._tokens
+
+        def spy(lines):
+            firsts.append(lines.split(b"\n", 1)[0])
+            return tokens(lines)
+
+        monkeypatch.setattr(densebip.graph, "_tokens", spy)
+        assert densebip.graph._canonical_edges(raw) is not None
+        lines = raw.split(b"\n")
+        assert len(_chunk_firsts(raw)) >= 3
+        assert firsts == [lines[0], *(lines[i] for i in _chunk_firsts(raw))]
+
+    @pytest.mark.parametrize("edit", sorted(CHUNK_EDITS))
+    def test_edit_at_each_boundary_matches_reference(self, el_path, shell_text, edit):
+        lines = shell_text.splitlines()
+        for first in _chunk_firsts(shell_text.encode())[1:]:
+            # an edit that changes a line's length can move the boundary
+            for b in range(first - 2, first + 3):
+                raw = ("\n".join(CHUNK_EDITS[edit](lines, b)) + "\n").encode()
+                if b in _chunk_firsts(raw):
+                    break
+            else:
+                pytest.fail(f"no {edit!r} edit lands on the chunk that begins at line {first}")
+            el_path.write_bytes(raw)
+            got = _loaded(load_graph, el_path)
+            want = _loaded(reference_load_graph, el_path)
+            if isinstance(want, str):
+                assert got == want
+                with pytest.raises(GraphError, match=re.escape(want)):
+                    load_core(el_path, 8)
+                continue
+            loaded, digest, fast = got
+            assert (loaded, digest) == want[:2]
+            # the fast path takes exactly the canonical texts
+            assert fast == (raw == format_edge_list(loaded).encode()) == (edit == "none")
+            assert len(_core_ids(el_path, 8)) == 16
+
+    def test_parse_peak_memory_per_edge(self):
+        g = planted_shell(60_000, 8, 100_000, seed=7)
+        raw = format_edge_list(g).encode()
+        tracemalloc.start()
+        try:
+            edges = densebip.graph._canonical_edges(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges[1] == g.m >= 100_000
+        # a whole-file token list takes about 100 bytes per edge
+        assert peak < 40 * g.m
