@@ -6,9 +6,11 @@ import hashlib
 import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
+from operator import and_
 from pathlib import Path
 from typing import Iterable
 
@@ -98,6 +100,18 @@ def reference_induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph
 def reference_load_graph(path: str | Path) -> Graph:
     """Reference for `load_graph`: every file through the line parser."""
     return parse_edge_list(Path(path).read_text())
+
+
+def reference_filter_round(us, vs, d: int) -> tuple[list[int], list[int]]:
+    """One d-core filter round on the edges (us[i], vs[i]): the edges whose
+    two ends both have degree at least d among them, in the given order.
+    Counted with a `Counter` and kept by a per-edge mask, sharing no code
+    with `graph._drop_low`."""
+    degree = Counter(us)
+    degree.update(vs)
+    high = {v for v, k in degree.items() if k >= d}.__contains__
+    keep = bytes(map(and_, map(high, us), map(high, vs)))
+    return list(compress(us, keep)), list(compress(vs, keep))
 
 
 def planted_shell(n: int, block: int, shell_edges: int, seed: int) -> Graph:

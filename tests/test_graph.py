@@ -1,11 +1,13 @@
 import hashlib
 import re
 import tracemalloc
-from itertools import pairwise
+from array import array
+from collections import Counter
+from itertools import combinations, compress, pairwise
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densebip.graph
@@ -35,6 +37,7 @@ from helpers import (
     planted_shell,
     random_graph,
     reference_canonical_sha256,
+    reference_filter_round,
     reference_induced_subgraph,
     reference_load_graph,
 )
@@ -520,6 +523,24 @@ class TestVertexLimit:
         with pytest.raises(GraphError, match=f"exceeds the limit of {MAX_VERTICES}"):
             load(el_path)
 
+    @pytest.mark.parametrize("load", [load_graph, lambda path: load_core(path, 2)])
+    def test_canonical_header_is_refused_before_the_edge_lines(self, el_path, load,
+                                                               monkeypatch):
+        calls = []
+        tokens = densebip.graph._tokens
+
+        def spy(lines):
+            calls.append(lines)
+            return tokens(lines)
+
+        monkeypatch.setattr(densebip.graph, "_tokens", spy)
+        m = 20_000  # about 150 KB of edge lines: three chunks
+        head = b"100000000000 %d" % m
+        el_path.write_bytes(head + b"\n" + b"".join(b"0 %d\n" % v for v in range(1, m + 1)))
+        with pytest.raises(GraphError, match=f"exceeds the limit of {MAX_VERTICES}"):
+            load(el_path)
+        assert calls == [head]
+
 
 def _core_ids(path, d):
     """The d-core found through `load_core`, as input ids, checked against `load_graph`."""
@@ -537,14 +558,13 @@ def _core_ids(path, d):
 def counted_rounds(monkeypatch):
     """The number of edge ends each filter round of `load_core` counts."""
     sizes = []
+    drop_low = densebip.graph._drop_low
 
-    class Counting(densebip.graph.Counter):
-        def __init__(self, ends):
-            ends = list(ends)
-            sizes.append(2 * len(ends))  # `update` adds the other ends
-            super().__init__(ends)
+    def counting(us, vs, d, deg, high):
+        sizes.append(2 * len(us))
+        return drop_low(us, vs, d, deg, high)
 
-    monkeypatch.setattr(densebip.graph, "Counter", Counting)
+    monkeypatch.setattr(densebip.graph, "_drop_low", counting)
     return sizes
 
 
@@ -625,6 +645,57 @@ class TestLoadCore:
         save_graph(g, el_path)
         got, ids, digest = load_core(el_path, 2)
         assert got.n == 0 and list(ids) == [] and digest == canonical_sha256(g)
+
+    def test_peak_memory_per_edge(self, el_path):
+        g = planted_shell(60_000, 8, 100_000, seed=7)
+        save_graph(g, el_path)
+        tracemalloc.start()
+        try:
+            got, _, _ = load_core(el_path, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.m == 64 and g.m >= 100_000
+        # about 40 bytes per edge; a Counter and a per-edge mask took about 82
+        assert peak < 55 * g.m
+
+
+@st.composite
+def filter_inputs(draw):
+    """(n, us, vs): canonical edges, each pair of a few ids kept by a coin
+    flip, plus a star whose leaves have degree 1, so its centre can be high
+    with only low neighbours, under a header n from the largest id + 1 up
+    to far above it."""
+    k = draw(st.integers(2, 14))
+    pairs = list(combinations(range(k), 2))
+    edges = set(compress(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                max_size=len(pairs)))))
+    centre, leaves = draw(st.integers(0, k - 1)), draw(st.integers(0, 10))
+    edges.update((centre, k + i) for i in range(leaves))
+    n = k + leaves + draw(st.one_of(st.integers(0, 3), st.integers(0, 100_000)))
+    edges = sorted(edges)
+    return n, [u for u, _ in edges], [v for _, v in edges]
+
+
+class TestFilterRound:
+    @given(filter_inputs(), st.integers(1, 8))
+    @example((1000, [0] * 8, list(range(1, 9))), 3)  # a high centre with low leaves
+    @example((1000, list(range(1, 9)), [9] * 8), 3)  # the same, centre last in each edge
+    def test_rounds_match_reference(self, edges, d):
+        n, us, vs = edges
+        deg, high = [0] * n, range(n)
+        # the first round gets the loader's int64 arrays, later ones lists
+        got_us, got_vs = array("q", us), array("q", vs)
+        while us:
+            want = reference_filter_round(us, vs, d)
+            degree = Counter(us + vs)
+            got_us, got_vs, high = densebip.graph._drop_low(got_us, got_vs, d, deg, high)
+            assert (got_us, got_vs) == want
+            assert high == sorted(v for v, k in degree.items() if k >= d)
+            assert not any(deg)
+            if len(want[0]) == len(us):
+                break
+            us, vs = want
 
 
 def _chunk_firsts(raw):
