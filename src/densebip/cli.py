@@ -169,7 +169,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     _positive_int("--workers", args.workers)
     sha256, params, og, original = _reduced_input(args)
     try:
-        result = extract(og, params, seed, args.max_retries, args.workers)
+        result = extract(og, params, seed, args.max_retries)
     except ExtractionError as exc:
         payload = {
             "error": str(exc),
@@ -183,9 +183,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         else:
             print(f"extraction failed: {exc}", file=sys.stderr)
         return 1
-    # I and J lie in the core, which the input induces: the same cross edges
-    # and independence as on the input ids
-    report = bipartite_pair_report(og.graph, result.I, result.J)
+    # extract verified I and J on the core, which the input induces: the same
+    # cross edges and independence as on the input ids
+    report = result.report
     side_i = [original[v] for v in report.I]
     side_j = [original[v] for v in report.J]
     payload = {
@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enforce the d>=16 constants and the ell/2310 floor")
     ext.add_argument("--seed", type=int, default=None)
     ext.add_argument("--max-retries", type=int, default=1000)
-    ext.add_argument("--workers", type=int, default=1)
+    ext.add_argument("--workers", type=int, default=1,
+                     help="checked and ignored: extract runs its trials in one process")
     ext.add_argument("--json", action="store_true", help="machine-readable report")
     ext.set_defaults(func=cmd_extract)
 

@@ -18,8 +18,8 @@ on Python-int bitmasks over the core's vertex ids: the ordered graph caches,
 per vertex, a left-neighbor mask, a neighbor mask and a holder mask (the
 vertices whose candidate set contains it), each built on first use. A mask
 takes at most n/8 bytes for an n-vertex core, so a trial costs at most n/8
-bytes per vertex it touches the first time, and the trial path builds no
-frozenset of neighbors.
+bytes per vertex it touches the first time. `reducer.bitmask` and
+`reducer.mask_members` convert between id lists and masks.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
 
 from .graph import BipartitePairReport, Graph, bipartite_pair_report
-from .reducer import OrderedGraph, bitmask
+from .reducer import OrderedGraph, bitmask, mask_members
 from .rng import sampled_members, stream
 
 GUARANTEE_MIN_DEGREE = 16
@@ -251,18 +250,9 @@ def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
     layer_mask = (1 << og.graph.n) - 1
     for i, level in enumerate(levels):
         layer_mask &= level if ell >> i & 1 else ~level
-    layer = _mask_members(layer_mask)
+    layer = mask_members(layer_mask)
     nbrs = og.neighbor_masks
     return layer, sum((nbrs[v] & layer_mask).bit_count() for v in layer) // 2
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _mask_members(mask: int) -> list[int]:
-    """The set bits of `mask`, ascending."""
-    # bin() reversed puts bit i at index i; as 0/1 bytes it selects from count()
-    return list(compress(count(), bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)))
 
 
 def supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> list[int]:
@@ -346,18 +336,15 @@ class ExtractionResult:
 
 
 def extract(
-    og: OrderedGraph,
-    params: Params,
-    seed: int,
-    max_retries: int = 1000,
-    workers: int = 1,
+    og: OrderedGraph, params: Params, seed: int, max_retries: int = 1000
 ) -> ExtractionResult:
     """Resample until the potential is positive, then carve out the pair.
 
     Trial i draws only from stream(seed, i) and the smallest index with
     positive potential wins. Trials run in index order in the calling
-    process; `workers` is accepted and ignored, as a process pool costs more
-    than the few trials an accepted run draws. Raises ExtractionError when
+    process, with no pool: one costs more than the few trials an accepted
+    run draws. The pair is verified once, on the ordered graph's vertex ids,
+    and that report is the result's `report`. Raises ExtractionError when
     retries run out, the accepted trial cannot produce a nonempty adjacent
     pair, or it breaks the 230x ratio.
     """

@@ -57,12 +57,8 @@ class Graph:
     m: int
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
-
-    @cached_property
     def _sha256(self) -> str:
-        # read through canonical_sha256; load_graph fills it from the file's bytes
+        # read through canonical_sha256; load_core fills it from a canonical file's bytes
         return hashlib.sha256(format_edge_list(self).encode("ascii")).hexdigest()
 
     def degree(self, v: int) -> int:
@@ -86,25 +82,23 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
-
     def is_triangle_free(self) -> bool:
         """True iff no edge's endpoints share a neighbor.
 
         A proper 2-colouring proves the graph bipartite, hence triangle-free,
         in O(n + m). Only a graph that is not bipartite has each edge (u, v)
-        with u < v tested by checking v's adjacency list against u's cached
-        neighbor set, so the cost is the sum of deg v over the edges, with
-        early exit on the first common neighbor.
+        with u < v tested by checking v's adjacency list against a set of u's
+        neighbors, built once per u, so the cost is the sum of deg v over the
+        edges, with early exit on the first common neighbor.
         """
         if self._is_bipartite():
             return True
-        sets = self.neighbor_sets
-        adj = self.adjacency
-        for u, v in self.edges():
-            if not sets[u].isdisjoint(adj[v]):
-                return False
+        adjacency = self.adjacency
+        for u, nbrs in enumerate(adjacency):
+            mine = set(nbrs)
+            for v in nbrs:
+                if u < v and not mine.isdisjoint(adjacency[v]):
+                    return False
         return True
 
     def _is_bipartite(self) -> bool:
@@ -142,13 +136,6 @@ class Graph:
         )
         m = sum(len(nbrs) for nbrs in adjacency) // 2
         return Graph(len(vs), adjacency, m), old_to_new
-
-    def edges_within(self, vertices: Iterable[int]) -> int:
-        """Number of edges with both endpoints in `vertices`."""
-        vs = _vertex_subset(self.n, vertices)
-        keep = set(vs)
-        sets = self.neighbor_sets
-        return sum(len(sets[v] & keep) for v in vs) // 2
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         vs = _vertex_subset(self.n, vertices)
@@ -323,34 +310,6 @@ def _sorted_edges_graph(n: int, m: int, us: Iterable[int], vs: Iterable[int]) ->
     return Graph(n, tuple(map(tuple, lists)), m)
 
 
-def _whole_graph(data: bytes, edges: tuple[int, int, array, array] | None) -> Graph:
-    """The graph of the input `data`, whose `_canonical_edges` are `edges`.
-
-    A canonical input is built from its edge arrays and its own sha256 is the
-    canonical hash; any other input goes through `parse_edge_list`.
-    """
-    if edges is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
-        return parse_edge_list(text)
-    g = _sorted_edges_graph(*edges)
-    g.__dict__["_sha256"] = hashlib.sha256(data).hexdigest()
-    return g
-
-
-def load_graph(path: str | Path) -> Graph:
-    """Read an edge-list file.
-
-    Canonical bytes, as `save_graph` writes them, are recognised and built
-    without the line parser, and their own sha256 is the canonical hash. Any
-    other input goes through `parse_edge_list`, decoded as UTF-8.
-    """
-    data = Path(path).read_bytes()
-    return _whole_graph(data, _canonical_edges(data))
-
-
 def _drop_low(us: Sequence[int], vs: Sequence[int], d: int, deg: list[int],
               high: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """One filter round of `load_core` on the edges (us[i], vs[i]).
@@ -398,22 +357,33 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     2m of them. Only the vertices of the surviving edges get adjacency lists.
     A dropped edge has an endpoint outside the d-core that loses every edge
     in the same round, so the survivors induce exactly the kept edges. Any
-    other input is read as `load_graph` reads it, with ids = range(n).
+    other canonical file is built whole from its edge arrays, with ids =
+    range(n), and its own sha256 is the canonical hash. A file that is not
+    canonical goes through `parse_edge_list`, decoded as UTF-8, and is kept
+    whole.
 
     The rounds count degrees in one list of n ints, allocated once. The first
     round reads the 2m edge ends and all n entries of that list, so it costs
     O(n + m) time and 8n bytes: one edge under the header "10000000 1" costs
-    about a second and 76 MiB, still far below what `load_graph` allocates
-    for that file. A later round reads only its own edges and the vertices the round
-    before kept, and finds each kept vertex's surviving edges by bisecting
-    the sorted `us` array.
+    about a second and 76 MiB, still far below what the whole graph of that
+    file allocates. A later round reads only its own edges and the vertices
+    the round before kept, and finds each kept vertex's surviving edges by
+    bisecting the sorted `us` array.
     """
     data = Path(path).read_bytes()
     edges = _canonical_edges(data)
-    if edges is None or 2 * edges[1] >= d * edges[0]:
-        g = _whole_graph(data, edges)
+    if edges is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
+        g = parse_edge_list(text)
         return g, range(g.n), canonical_sha256(g)
-    n, _, us, vs = edges
+    n, m, us, vs = edges
+    if 2 * m >= d * n:
+        g = _sorted_edges_graph(n, m, us, vs)
+        g.__dict__["_sha256"] = sha256 = hashlib.sha256(data).hexdigest()
+        return g, range(n), sha256
     deg = [0] * n
     high: Sequence[int] = range(n)
     while us:
@@ -427,6 +397,12 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     g = _sorted_edges_graph(len(ids), len(us), map(local.__getitem__, us),
                             map(local.__getitem__, vs))
     return g, ids, hashlib.sha256(data).hexdigest()
+
+
+def load_graph(path: str | Path) -> Graph:
+    """Read an edge-list file: `load_core` at d = 0, since the 0-core is the
+    whole graph."""
+    return load_core(path, 0)[0]
 
 
 def save_graph(g: Graph, path: str | Path) -> None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph
+from .reducer import bitmask, mask_members
 
 DEFAULT_CAP = 18
 
@@ -23,25 +24,6 @@ class OracleResult:
     best_value: Fraction
     witness_I: tuple[int, ...]
     witness_J: tuple[int, ...]
-
-
-def _adj_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for v, nbrs in enumerate(g.adjacency):
-        m = 0
-        for w in nbrs:
-            m |= 1 << w
-        masks[v] = m
-    return masks
-
-
-def _bit_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return tuple(out)
 
 
 def _two_color(masks: list[int], subset: int) -> tuple[int, int] | None:
@@ -91,7 +73,7 @@ def max_induced_bipartite_average_degree(g: Graph, cap: int = DEFAULT_CAP) -> Or
     """
     if g.n > cap:
         raise ValueError(f"oracle is capped at n <= {cap}, got n={g.n}")
-    masks = _adj_masks(g)
+    masks = list(map(bitmask, g.adjacency))
     best_num, best_den = 0, 1  # value 2e/|S| as a fraction; empty set scores 0
     best_size, best_mask = 0, 0
     best_parts = (0, 0)
@@ -119,8 +101,8 @@ def max_induced_bipartite_average_degree(g: Graph, cap: int = DEFAULT_CAP) -> Or
         best_parts = parts
     return OracleResult(
         Fraction(best_num, best_den),
-        _bit_vertices(best_parts[0]),
-        _bit_vertices(best_parts[1]),
+        tuple(mask_members(best_parts[0])),
+        tuple(mask_members(best_parts[1])),
     )
 
 
@@ -128,7 +110,7 @@ def max_independent_set(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """A maximum independent set; lexicographically smallest among maximums."""
     if g.n > cap:
         raise ValueError(f"oracle is capped at n <= {cap}, got n={g.n}")
-    masks = _adj_masks(g)
+    masks = list(map(bitmask, g.adjacency))
     independent = bytearray(1 << g.n)
     independent[0] = 1
     best_size = 0
@@ -141,9 +123,9 @@ def max_independent_set(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
             size = subset.bit_count()
             if size > best_size:
                 best_size = size
-                best = _bit_vertices(subset)
+                best = tuple(mask_members(subset))
             elif size == best_size:
-                candidate = _bit_vertices(subset)
+                candidate = tuple(mask_members(subset))
                 if candidate < best:
                     best = candidate
     return best

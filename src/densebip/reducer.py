@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .graph import Graph
@@ -38,11 +39,20 @@ class OrderingError(ValueError):
 
 
 def bitmask(ids: Iterable[int]) -> int:
-    """The int with bit v set for each v in `ids`."""
+    """The int with bit v set for each v in `ids`; `mask_members` inverts it."""
     mask = 0
     for v in ids:
         mask |= 1 << v
     return mask
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_members(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    # bin() reversed puts bit i at index i; as 0/1 bytes it selects from count()
+    return list(compress(count(), bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)))
 
 
 class VertexMasks(dict):
@@ -152,19 +162,16 @@ def d_core(g: Graph, d: int) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if alive[v])
 
 
-def minimal_min_degree_subgraph(
-    g: Graph, d: int, scan_order: Iterable[int] | None = None
-) -> tuple[Graph, dict[int, int]]:
+def minimal_min_degree_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
     """Inclusion-minimal induced subgraph of min degree >= d, plus the id map.
 
     Starting from the d-core, one pass visits the vertices in ascending id
-    (unless `scan_order` gives a different priority over original ids) and
-    tentatively deletes each live one, peeling what drops below degree d. The
-    deletion is kept when something survives and undone when the remainder
-    would be empty. One pass suffices because the d-core is monotone under
-    inclusion: a vertex whose deletion emptied the remainder once empties
-    every smaller remainder too. When no deletion survives the remainder is
-    inclusion-minimal, hence d-degenerate.
+    and tentatively deletes each live one, peeling what drops below degree
+    d. The deletion is kept when something survives and undone when the
+    remainder would be empty. One pass suffices because the d-core is
+    monotone under inclusion: a vertex whose deletion emptied the remainder
+    once empties every smaller remainder too. When no deletion survives the
+    remainder is inclusion-minimal, hence d-degenerate.
 
     A vertex whose deletion failed becomes a keeper. A tentative deletion
     whose peel kills a keeper fails too, by the same monotonicity: if the
@@ -199,11 +206,9 @@ def minimal_min_degree_subgraph(
         for v in core:
             deg[v] = sum(1 for w in adjacency[v] if alive[w])
 
-    # scan_order first, then the rest of the core; repeats and ids outside the core are skipped
-    scan = dict.fromkeys(v for v in (*(scan_order or ()), *core) if 0 <= v < n and alive[v])
     keepers = bytearray(n)
     live = len(core)
-    for v in scan:
+    for v in core:
         if not alive[v]:
             continue
         killed, decremented, stopped = _peel(adjacency, deg, alive, [v], d, keepers)

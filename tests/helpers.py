@@ -263,11 +263,22 @@ def graphs(draw, min_n: int = 0, max_n: int = 10):
 
 def naive_triangle_free(g: Graph) -> bool:
     """O(n^3) triple scan."""
-    sets = g.neighbor_sets
+    sets = [set(nbrs) for nbrs in g.adjacency]
     for a, b, c in combinations(range(g.n), 3):
         if b in sets[a] and c in sets[a] and c in sets[b]:
             return False
     return True
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    """Whether u and v are adjacent in `g`."""
+    return v in g.adjacency[u]
+
+
+def edges_within(g: Graph, vertices: Iterable[int]) -> int:
+    """Number of edges of `g` with both endpoints in `vertices`, repeats ignored."""
+    keep = set(vertices)
+    return sum(len(keep.intersection(g.adjacency[v])) for v in keep) // 2
 
 
 def adj_masks(g: Graph) -> list[int]:
@@ -383,9 +394,7 @@ def _peeled(g: Graph, alive: list[bool], d: int) -> list[bool]:
             alive[v] = False
 
 
-def restart_minimal_subgraph(
-    g: Graph, d: int, scan_order: Iterable[int] | None = None
-) -> tuple[Graph, dict[int, int]]:
+def restart_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
     """Reference for `minimal_min_degree_subgraph`: the restart-after-commit scan.
 
     Every tentative deletion recomputes the core of the remainder from scratch,
@@ -394,14 +403,10 @@ def restart_minimal_subgraph(
     alive = _peeled(g, [True] * g.n, d)
     if not any(alive):
         raise EmptyCoreError(f"the {d}-core of the input is empty")
-    order: list[int] = []
-    for v in [*(scan_order or ()), *range(g.n)]:
-        if 0 <= v < g.n and v not in order:
-            order.append(v)
     progressed = True
     while progressed:
         progressed = False
-        for v in order:
+        for v in range(g.n):
             if not alive[v]:
                 continue
             trial = list(alive)
@@ -414,9 +419,7 @@ def restart_minimal_subgraph(
     return g.induced_subgraph([v for v in range(g.n) if alive[v]])
 
 
-def full_peel_minimal_subgraph(
-    g: Graph, d: int, scan_order: Iterable[int] | None = None
-) -> tuple[Graph, dict[int, int]]:
+def full_peel_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
     """Reference for `minimal_min_degree_subgraph`: the single-pass scan in which
     every tentative deletion peels to the end before it is kept or undone."""
     core = d_core(g, d)
@@ -427,9 +430,8 @@ def full_peel_minimal_subgraph(
     for v in core:
         alive[v] = True
     deg = [sum(1 for w in g.adjacency[v] if alive[w]) for v in range(n)]
-    scan = dict.fromkeys(v for v in (*(scan_order or ()), *core) if 0 <= v < n and alive[v])
     live = len(core)
-    for v in scan:
+    for v in core:
         if not alive[v]:
             continue
         alive[v] = False

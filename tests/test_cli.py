@@ -101,7 +101,14 @@ class TestExtract:
         assert check["average_degree"] == payload["average_degree"]
         assert check["cross_edges"] == payload["cross_edges"]
 
-    def test_byte_identical_across_workers(self, k16_file, capsys):
+    def test_byte_identical_across_workers(self, k16_file, capsys, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extract opened a process pool")
+
+        # --workers is checked and ignored: no worker count opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         outputs = []
         for workers in ("1", "4"):
             code, out, _ = run(

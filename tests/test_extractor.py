@@ -34,6 +34,7 @@ from densebip.stats import wilson_interval
 
 from helpers import (
     cycle_graph,
+    edges_within,
     random_graph,
     reference_hit_layer,
     reference_left_minimal_members,
@@ -169,7 +170,7 @@ class TestSampleTrial:
             survivors = set(out.survivors)
             for y in out.supported:
                 assert len(survivors & set(g.adjacency[y])) >= params.threshold
-            assert out.layer_edges == g.edges_within(out.layer)
+            assert out.layer_edges == edges_within(g, out.layer)
             assert potential(out, params) == out.potential
 
     def test_mean_sample_size_matches_rate(self):
@@ -343,7 +344,7 @@ class TestExtract:
         assert out.potential > 0
         q, p, d = params.q, params.p, params.d
         n_supported = len(out.supported)
-        edges_supported = og.graph.edges_within(out.supported)
+        edges_supported = edges_within(og.graph, out.supported)
         assert edges_supported <= out.layer_edges
         assert Fraction(out.layer_edges) <= 10 * q * d * n_supported
         assert Fraction(n_supported) >= q * len(out.sampled) / (10 * p)
@@ -406,25 +407,6 @@ class TestExtract:
         for i in range(result.trials_used - 1):
             assert sample_trial(og, params, stream(0, i)).potential <= 0
         assert sample_trial(og, params, stream(0, result.trials_used - 1)).potential > 0
-
-    def test_deterministic_across_workers(self):
-        og, _ = reduce_and_order(complete_bipartite(48, 48), 48)
-        params = derive_params(48, True)
-        one = extract(og, params, seed=3, max_retries=500, workers=1)
-        four = extract(og, params, seed=3, max_retries=500, workers=4)
-        assert one == four
-
-    def test_workers_open_no_pool(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("extract opened a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        og, _ = reduce_and_order(complete_bipartite(48, 48), 48)
-        params = derive_params(48, True)
-        four = extract(og, params, seed=3, max_retries=500, workers=4)
-        assert four == extract(og, params, seed=3, max_retries=500, workers=1)
 
     def test_repeat_runs_identical(self):
         og, _ = reduce_and_order(complete_bipartite(32, 32), 32)

@@ -5,6 +5,7 @@ from array import array
 from collections import Counter
 from itertools import combinations, compress, pairwise
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,9 @@ from densebip.reducer import d_core
 
 from helpers import (
     cycle_graph,
+    edges_within,
     graphs,
+    has_edge,
     is_bipartite,
     naive_triangle_free,
     pairset_from_edge_list,
@@ -193,15 +196,15 @@ class TestInducedSubgraph:
         else:
             subset = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
         sub, _ = g.induced_subgraph(subset)
-        assert g.edges_within(subset) == sub.m
+        assert edges_within(g, subset) == sub.m
 
 
 class TestSubsetPredicates:
     def test_edges_within(self):
-        assert cycle_graph(5).edges_within(range(5)) == 5
-        assert cycle_graph(5).edges_within([2]) == 0
-        assert cycle_graph(5).edges_within([]) == 0
-        assert complete_bipartite(3, 3).edges_within([0, 3]) == 1
+        assert edges_within(cycle_graph(5), range(5)) == 5
+        assert edges_within(cycle_graph(5), [2]) == 0
+        assert edges_within(cycle_graph(5), []) == 0
+        assert edges_within(complete_bipartite(3, 3), [0, 3]) == 1
 
     def test_is_independent(self):
         c5 = cycle_graph(5)
@@ -212,7 +215,7 @@ class TestSubsetPredicates:
     @given(graphs(), st.data())
     def test_is_independent_matches_edges_within(self, g, data):
         subset = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
-        assert g.is_independent(subset) == (g.edges_within(subset) == 0)
+        assert g.is_independent(subset) == (edges_within(g, subset) == 0)
 
 
 class TestBipartitePairReport:
@@ -243,12 +246,6 @@ class TestBipartitePairReport:
         assert rep.valid
         assert rep.average_degree == Fraction(2 * rep.cross_edges, 3)
 
-    def test_leaves_neighbor_sets_unbuilt(self):
-        g = complete_bipartite(3, 3)
-        bipartite_pair_report(g, [0, 1], [3, 4, 5])
-        bipartite_pair_report(g, [0, 1], [2, 3])
-        assert "neighbor_sets" not in g.__dict__
-
     @given(graphs(max_n=8), st.data())
     def test_cross_edges_match_pair_count(self, g, data):
         if g.n == 0:
@@ -256,7 +253,7 @@ class TestBipartitePairReport:
         side_i = data.draw(st.lists(st.integers(0, g.n - 1), max_size=5))
         side_j = data.draw(st.lists(st.integers(0, g.n - 1), max_size=5))
         rep = bipartite_pair_report(g, side_i, side_j)
-        expected = sum(1 for u in set(side_i) for v in set(side_j) if g.has_edge(u, v))
+        expected = sum(1 for u in set(side_i) for v in set(side_j) if has_edge(g, u, v))
         assert rep.cross_edges == expected
 
     @given(graphs(max_n=8), st.data())
@@ -375,13 +372,14 @@ def el_path(tmp_path_factory):
 
 def _loaded(load, path):
     """(graph, hash, read on the fast path) or the GraphError message."""
-    try:
-        g = load(path)
-    except GraphError as exc:
-        return str(exc)
-    # only the canonical-input path fills the hash cache while loading
-    fast = "_sha256" in g.__dict__
-    return g, reference_canonical_sha256(g), fast
+    with mock.patch.object(densebip.graph, "parse_edge_list",
+                           wraps=densebip.graph.parse_edge_list) as parser:
+        try:
+            g = load(path)
+        except GraphError as exc:
+            return str(exc)
+    # the fast path builds the graph from its edge arrays, without the line parser
+    return g, reference_canonical_sha256(g), not parser.called
 
 
 def _graph_or_error(path, raw):

@@ -10,7 +10,7 @@ from densebip.oracle import (
     max_induced_bipartite_average_degree,
 )
 
-from helpers import cycle_graph, random_graph
+from helpers import cycle_graph, has_edge, random_graph
 
 
 class TestBipartiteOracle:
@@ -76,7 +76,7 @@ class TestMaxIndependentSet:
                 (u, v)
                 for u in range(8)
                 for v in range(u + 1, 8)
-                if not g.has_edge(u, v)
+                if not has_edge(g, u, v)
             ]
             if not non_edges:
                 continue
