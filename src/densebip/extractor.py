@@ -16,9 +16,12 @@ inside it yields the second side J with the promised size and degree bounds.
 The survivors, the layer, its edge count and the support counts are computed
 on Python-int bitmasks over the core's vertex ids: the ordered graph caches,
 per vertex, a left-neighbor mask, a neighbor mask and a holder mask (the
-vertices whose candidate set contains it), each built on first use. A mask
-takes at most n/8 bytes for an n-vertex core, so a trial costs at most n/8
-bytes per vertex it touches the first time. `reducer.bitmask` and
+vertices whose candidate set contains it). A mask takes at most n/8 bytes for
+an n-vertex core. On a dense core, where n masks take no more memory than the
+adjacency tuples, `reducer.build_ordered` fills the neighbor and left masks
+up front from its bit-sliced ordering; on a sparse core they are built on
+first use, so a trial costs at most n/8 bytes per vertex it touches the first
+time. Holder masks are always built on first use. `reducer.bitmask` and
 `reducer.mask_members` convert between id lists and masks.
 """
 
@@ -42,7 +45,8 @@ DEGREE_FLOOR_DENOM = 2310           # guaranteed average degree is ell / 2310
 
 
 class ParamsError(ValueError):
-    """Degree parameter out of range, or a guarantee-mode constant check failed."""
+    """Degree parameter out of range, or a guarantee-mode premise failed: a
+    constant check, or a triangle in the reduced core."""
 
 
 class ExtractionError(RuntimeError):
@@ -346,11 +350,17 @@ def extract(
     run draws. The pair is verified once, on the ordered graph's vertex ids,
     and that report is the result's `report`. Raises ExtractionError when
     retries run out, the accepted trial cannot produce a nonempty adjacent
-    pair, or it breaks the 230x ratio.
+    pair, or it breaks the 230x ratio. In guarantee mode it first raises
+    ParamsError when the core has a triangle: the proof of the floor uses
+    only the core, and needs it triangle-free.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
     require_compatible(og, params)
+    if params.guarantee and not og.graph.is_triangle_free():
+        raise ParamsError(
+            "guarantee mode needs a triangle-free input, but the reduced core has a triangle"
+        )
     accepted_index = -1
     outcome: SampleOutcome | None = None
     for index in range(max_retries):

@@ -102,23 +102,21 @@ class Graph:
         return True
 
     def _is_bipartite(self) -> bool:
-        """Whether a depth-first search finds a proper 2-colouring."""
+        """Whether no edge joins two vertices of one breadth-first layer.
+
+        Such an edge closes an odd cycle, and without one the layers' parity
+        is a proper 2-colouring. Each layer's neighbourhood is one set union.
+        """
         adjacency = self.adjacency
-        side = bytearray(self.n)  # 0 uncoloured, else 1 or 2
-        for start in range(self.n):
-            if side[start]:
-                continue
-            side[start] = 1
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                other = 3 - side[u]
-                for w in adjacency[u]:
-                    if not side[w]:
-                        side[w] = other
-                        stack.append(w)
-                    elif side[w] != other:
-                        return False
+        unseen = set(range(self.n))
+        while unseen:
+            layer = {unseen.pop()}
+            while layer:
+                reached = set().union(*map(adjacency.__getitem__, layer))
+                if not reached.isdisjoint(layer):
+                    return False
+                layer = reached & unseen
+                unseen -= layer
         return True
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:

@@ -17,6 +17,11 @@ empty, so u fails too. The scan also ends when a failed deletion shows the
 remainder to be connected and d-regular; only the first failure, which
 meets no keeper and so peels everything, can show it. Everything is
 deterministic: ties always break toward the smallest vertex id.
+
+The ordering is smallest-last (Matula-Beck): repeatedly remove a vertex of
+least degree. `build_ordered` runs it on int bitmasks with a bit-sliced
+degree counter when the core's neighbour masks take no more memory than its
+adjacency tuples, and on a binary heap otherwise; both give the same order.
 """
 
 from __future__ import annotations
@@ -56,15 +61,16 @@ def mask_members(mask: int) -> list[int]:
 
 
 class VertexMasks(dict):
-    """Per-vertex bitmasks over vertex ids, each built on its first lookup.
+    """Per-vertex bitmasks over vertex ids: self[v] is bitmask(ids[v]).
 
-    self[v] is bitmask(ids[v]). A mask takes at most n/8 bytes, so the cache
-    costs that much per vertex looked up, never n^2/8 up front. It holds only
-    ints and the `ids` tuple, so it pickles with its ordered graph.
+    `masks` gives masks up front, masks[v] for vertex v; any other vertex has
+    its mask built on its first lookup. A mask takes at most n/8 bytes, so a
+    lazy cache costs that much per vertex looked up, never n^2/8 up front. It
+    holds only ints and the `ids` tuple, so it pickles with its ordered graph.
     """
 
-    def __init__(self, ids: Sequence[Iterable[int]]):
-        super().__init__()
+    def __init__(self, ids: Sequence[Iterable[int]], masks: Iterable[int] = ()):
+        super().__init__(enumerate(masks))
         self.ids = ids
 
     def __missing__(self, v: int) -> int:
@@ -81,7 +87,10 @@ class OrderedGraph:
     is a fixed subset of exactly d neighbors of v (the d smallest ids).
     neighbor_masks, holder_masks and left_masks hold the adjacency lists,
     candidate_index and left_neighbors as per-vertex int bitmasks for the
-    trial kernel.
+    trial kernel. `build_ordered` fills neighbor_masks and left_masks up
+    front on a core whose masks take no more memory than its adjacency
+    tuples; otherwise, and for holder_masks always, each mask is built on
+    its first lookup.
     """
 
     graph: Graph
@@ -257,28 +266,104 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     return tuple(reversed(removal)), degeneracy
 
 
+def _masks_fit(g: Graph) -> bool:
+    """Whether n per-vertex bitmasks take no more memory than the adjacency tuples.
+
+    A mask over n ids spans ceil(n/64) 64-bit words and the tuples hold one
+    8-byte slot per neighbour, 2m in all. So the masks fit when
+    ceil(n/64) * n <= 2m: a mask's word count is at most the average degree.
+    """
+    return -(-g.n // 64) * g.n <= 2 * g.m
+
+
+def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], list[int]]:
+    """`degeneracy_ordering` on bitmasks, plus the masks it passes through.
+
+    Returns (order, degeneracy, nbr, left): nbr[v] is bitmask(adjacency[v])
+    and left[v] the mask of v's neighbours that precede it in the order. The
+    live degrees sit in a bit-sliced counter, levels[i] holding bit i of
+    every degree. The live vertices of least degree are found by narrowing
+    `alive` from the top level down, to the vertices whose bit there is 0
+    whenever one is; the removed vertex is the lowest of them. Its live
+    neighbours, which follow it in the removal and so precede it in the
+    order, are its left mask, and they are subtracted from the counter with a
+    ripple borrow. Each step costs O(log(max degree) * n/64) word operations.
+    """
+    n = g.n
+    pow2 = [1 << v for v in range(n)]
+    nbr = [sum(map(pow2.__getitem__, nbrs)) for nbrs in g.adjacency]
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    levels = [
+        sum(compress(pow2, [dv >> i & 1 for dv in deg]))
+        for i in range(max(deg, default=0).bit_length())
+    ]
+    left = [0] * n
+    removal: list[int] = []
+    degeneracy = 0
+    alive = (1 << n) - 1
+    while alive:
+        while levels and not levels[-1] & alive:
+            levels.pop()  # no live degree reaches this bit any more
+        least = alive
+        dv = 0
+        for i in range(len(levels) - 1, -1, -1):
+            zero = least & ~levels[i]
+            if zero:
+                least = zero
+            else:
+                dv |= 1 << i
+        v = (least & -least).bit_length() - 1
+        alive ^= pow2[v]
+        removal.append(v)
+        if dv > degeneracy:
+            degeneracy = dv
+        borrow = left[v] = nbr[v] & alive
+        for i, level in enumerate(levels):
+            if not borrow:
+                break
+            levels[i] = level ^ borrow
+            borrow &= ~level
+    return tuple(reversed(removal)), degeneracy, nbr, left
+
+
 def build_ordered(g: Graph, d: int) -> OrderedGraph:
     """Attach the degeneracy ordering and size-d candidate sets.
 
     Rejects graphs with min degree < d or degeneracy > d; candidate sets take
     the d smallest neighbor ids so runs are reproducible.
+
+    The core's representation is picked once, by `_masks_fit`. When its n
+    neighbour masks take no more memory than its adjacency tuples
+    (ceil(n/64) * n <= 2m), the ordering runs on bitmasks
+    (`_bit_sliced_ordering`), and the neighbour and left masks it builds
+    fill the ordered graph's `neighbor_masks` and `left_masks` caches up
+    front. Otherwise, as on a large sparse core, where n masks would take
+    about n^2/8 bytes, the ordering is the heap `degeneracy_ordering` and
+    every mask is built on first use.
     """
     if g.n == 0:
         raise OrderingError("cannot order the empty graph")
     min_deg = g.min_degree()
     if min_deg < d:
         raise OrderingError(f"min degree {min_deg} is below d={d}")
-    order, degeneracy = degeneracy_ordering(g)
+    dense = _masks_fit(g)
+    if dense:
+        order, degeneracy, nbr, left_masks = _bit_sliced_ordering(g)
+    else:
+        order, degeneracy = degeneracy_ordering(g)
     if degeneracy > d:
         raise OrderingError(f"degeneracy {degeneracy} exceeds d={d}")
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    left = tuple(
-        tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n)
-    )
-    candidates = tuple(nbrs[:d] for nbrs in g.adjacency)
-    return OrderedGraph(g, order, left, candidates, d)
+    # a scan rather than mask_members(left_masks): it shares the adjacency's int objects
+    left = tuple(tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n))
+    og = OrderedGraph(g, order, left, tuple(nbrs[:d] for nbrs in g.adjacency), d)
+    if dense:
+        # a cached_property returns what the instance __dict__ holds under its name
+        og.__dict__["neighbor_masks"] = VertexMasks(g.adjacency, nbr)
+        og.__dict__["left_masks"] = VertexMasks(left, left_masks)
+    return og
 
 
 def reduce_and_order(g: Graph, d: int) -> tuple[OrderedGraph, dict[int, int]]:

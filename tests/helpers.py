@@ -261,6 +261,13 @@ def graphs(draw, min_n: int = 0, max_n: int = 10):
     return from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
 
 
+def k40_with_triangles() -> Graph:
+    """K_{40,40} plus the edges (2i, 2i+1), i < 20, inside the side 0..39: its
+    minimal 20-core keeps 39 vertices and some of those triangles."""
+    edges = [(a, 40 + b) for a in range(40) for b in range(40)]
+    return from_edge_list(80, edges + [(2 * i, 2 * i + 1) for i in range(20)])
+
+
 def naive_triangle_free(g: Graph) -> bool:
     """O(n^3) triple scan."""
     sets = [set(nbrs) for nbrs in g.adjacency]

@@ -11,7 +11,12 @@ from densebip.cli import main
 from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import MAX_VERTICES, from_edge_list, load_graph, parse_edge_list, save_graph
 
-from helpers import planted_shell, reference_extract_stdout, reference_potential_stdout
+from helpers import (
+    k40_with_triangles,
+    planted_shell,
+    reference_extract_stdout,
+    reference_potential_stdout,
+)
 
 
 def run(capsys, *argv):
@@ -64,6 +69,16 @@ class TestGen:
 
 
 class TestExtract:
+    def test_core_with_a_triangle_exits_2_in_guarantee_mode(self, tmp_path, capsys):
+        path = str(tmp_path / "tri.el")
+        save_graph(k40_with_triangles(), path)
+        code, out, err = run(capsys, "extract", "--in", path, "--d", "20", "--guarantee", "--json")
+        assert code == 2 and out == ""
+        assert "triangle" in err
+        code, out, _ = run(capsys, "extract", "--in", path, "--d", "20", "--json")
+        assert code == 0
+        assert json.loads(out)["valid"] is True
+
     def test_end_to_end_json(self, k16_file, capsys):
         code, out, _ = run(
             capsys, "extract", "--in", k16_file, "--d", "16",
@@ -391,6 +406,30 @@ def test_frozen_stdout_c5_blowup(command, tmp_path, capsys):
     code, out, _ = run(capsys, *command, "--in", path, "--d", "24", "--guarantee", "--seed", "7")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_C5_STDOUT[command]
+
+
+# sha256 of stdout on random_bipartite(1000, 1000, 0.008, seed 5) at d=5,
+# --seed 7, taken before the bit-sliced ordering: its 730-vertex core fails the
+# mask predicate (12 words against average degree 5.8), so it takes the heap
+# ordering and lazily built masks
+FROZEN_SPARSE_CORE_STDOUT = {
+    ("extract", "--json"):
+        "4a5b569ee0108434976eba76240d29b4478f1115ac8e8c530a71c8bbe60e4f97",
+    ("stats", "potential", "--trials", "200"):
+        "4aac65a72b42aac308da25797c9bc1275bb41efda867343a9ca4f7a06ec78539",
+    ("stats", "survival", "--trials", "200"):
+        "12b24be3de30a8681176561673863568b3c8258f4036ae9c545cc2abca93e256",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_SPARSE_CORE_STDOUT), ids=" ".join)
+def test_frozen_stdout_sparse_core(command, tmp_path, capsys):
+    path = str(tmp_path / "rb1000.el")
+    gen = ["gen", "random-bipartite", "1000", "1000", "0.008", "--seed", "5", "--out", path]
+    assert main(gen) == 0
+    code, out, _ = run(capsys, *command, "--in", path, "--d", "5", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SPARSE_CORE_STDOUT[command]
 
 
 class TestVerify:

@@ -35,6 +35,7 @@ from densebip.stats import wilson_interval
 from helpers import (
     cycle_graph,
     edges_within,
+    k40_with_triangles,
     random_graph,
     reference_hit_layer,
     reference_left_minimal_members,
@@ -321,6 +322,16 @@ class TestGreedyIndependentSet:
 
 
 class TestExtract:
+    def test_guarantee_mode_refuses_a_core_with_a_triangle(self):
+        og, _ = reduce_and_order(k40_with_triangles(), 20)
+        assert not og.graph.is_triangle_free()
+        with pytest.raises(ParamsError, match="triangle"):
+            extract(og, derive_params(20, True), seed=0)
+        assert extract(og, derive_params(20, False), seed=0).report.valid
+        # triangle-free but not bipartite: the check lets it through
+        og, _ = reduce_and_order(c5_blowup(12), 24)
+        assert extract(og, derive_params(24, True), seed=0).report.valid
+
     def test_k200_guarantee_run(self):
         og, _ = reduce_and_order(complete_bipartite(200, 200), 200)
         params = derive_params(200, True)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,13 @@ from densebip.generators import (
     complete_bipartite,
     random_bipartite,
 )
+from densebip.extractor import derive_params, extract
 from densebip.reducer import (
     EmptyCoreError,
     OrderingError,
+    _bit_sliced_ordering,
+    _masks_fit,
+    bitmask,
     build_ordered,
     d_core,
     degeneracy_ordering,
@@ -292,3 +298,136 @@ class TestBuildOrdered:
     def test_empty_graph_rejected(self):
         with pytest.raises(OrderingError):
             build_ordered(from_edge_list(0, []), 2)
+
+
+@st.composite
+def unions(draw):
+    """Disjoint unions of small arbitrary graphs and complete bipartite blocks,
+    plus isolated vertices, under a random labelling: many degree ties."""
+    blocks = st.builds(complete_bipartite, st.integers(1, 5), st.integers(1, 5))
+    parts = draw(st.lists(st.one_of(graphs(max_n=8), blocks), max_size=4))
+    edges, n = [], 0
+    for part in parts:
+        edges += [(n + u, n + v) for u, v in part.edges()]
+        n += part.n
+    n += draw(st.integers(0, 3))
+    label = draw(st.permutations(range(n)))
+    return from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+
+
+def shrink_core():
+    return minimal_min_degree_subgraph(random_bipartite(150, 150, 0.3, 13), 24)[0]
+
+
+def pos_scan_left(g, order):
+    pos = {v: i for i, v in enumerate(order)}
+    return [tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n)]
+
+
+class TestBitSlicedOrdering:
+    def check(self, g):
+        order, degeneracy, nbr, left = _bit_sliced_ordering(g)
+        assert (order, degeneracy) == degeneracy_ordering(g)
+        assert (order, degeneracy) == tuple_key_degeneracy_ordering(g)
+        assert left == [bitmask(ids) for ids in pos_scan_left(g, order)]
+        assert nbr == [bitmask(nbrs) for nbrs in g.adjacency]
+
+    @settings(max_examples=200)
+    @given(graphs(max_n=30))
+    def test_matches_heap_ordering(self, g):
+        self.check(g)
+
+    @settings(max_examples=200)
+    @given(unions())
+    def test_matches_heap_ordering_on_unions(self, g):
+        self.check(g)
+
+    def test_matches_heap_ordering_on_cores(self):
+        for g in (complete_bipartite(250, 250), c5_blowup(60), shrink_core(), cycle_graph(200)):
+            self.check(g)
+
+
+def circulant(n, k):
+    """Vertex v adjacent to v +- 1, ..., v +- k (mod n)."""
+    return from_edge_list(n, [(v, (v + j) % n) for v in range(n) for j in range(1, k + 1)])
+
+
+CACHES = ("neighbor_masks", "left_masks")
+
+
+def build_on(monkeypatch, dense, g, d):
+    monkeypatch.setattr(reducer, "_masks_fit", lambda _: dense)
+    return build_ordered(g, d)
+
+
+class TestBothBranches:
+    @pytest.mark.parametrize(
+        "build,d",
+        [(lambda: complete_bipartite(16, 16), 16), (lambda: c5_blowup(12), 24), (shrink_core, 24)],
+        ids=["k16", "c5-12", "shrink"],
+    )
+    def test_same_ordered_graph_and_pair(self, build, d, monkeypatch):
+        g = build()
+        assert _masks_fit(g)
+        dense = build_on(monkeypatch, True, g, d)
+        sparse = build_on(monkeypatch, False, g, d)
+        assert dense.order == sparse.order
+        assert dense.left_neighbors == sparse.left_neighbors
+        assert dense.candidate_sets == sparse.candidate_sets
+        assert all(name in dense.__dict__ for name in CACHES)
+        assert not any(name in sparse.__dict__ for name in CACHES)
+        params = derive_params(d, True)
+        assert extract(dense, params, seed=4) == extract(sparse, params, seed=4)
+        for name in CACHES:  # the lazy masks equal the prebuilt ones
+            lazy, prebuilt = getattr(sparse, name), getattr(dense, name)
+            assert [lazy[v] for v in range(g.n)] == [prebuilt[v] for v in range(g.n)]
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_ordering_errors_unchanged(self, dense, monkeypatch):
+        with pytest.raises(OrderingError, match=r"^min degree 3 is below d=4$"):
+            build_on(monkeypatch, dense, complete_bipartite(3, 3), 4)
+        k4 = from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        with pytest.raises(OrderingError, match=r"^degeneracy 3 exceeds d=2$"):
+            build_on(monkeypatch, dense, k4, 2)
+
+    @settings(max_examples=100)
+    @given(graphs(min_n=1, max_n=12), st.integers(0, 4))
+    def test_same_result_or_error_on_both_branches(self, g, d):
+        built = []
+        for dense in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                try:
+                    og = build_on(mp, dense, g, d)
+                    built.append((og.order, og.left_neighbors, og.candidate_sets))
+                except OrderingError as exc:
+                    built.append(str(exc))
+        assert built[0] == built[1]
+
+    def test_sparse_cores_get_no_prebuilt_masks(self):
+        rb2500, _ = minimal_min_degree_subgraph(random_bipartite(2500, 2500, 0.008, 5), 12)
+        for g, d in ((cycle_graph(200), 2), (rb2500, 12)):
+            assert not _masks_fit(g)
+            og = build_ordered(g, d)
+            assert not any(name in og.__dict__ for name in CACHES)
+
+    @pytest.mark.parametrize(
+        "build,d",
+        [
+            (lambda: complete_bipartite(16, 16), 16),
+            (lambda: c5_blowup(12), 24),
+            (shrink_core, 24),
+            (lambda: complete_bipartite(250, 250), 250),
+            (lambda: circulant(640, 5), 10),  # ceil(n/64) * n == 2m: the boundary
+        ],
+        ids=["k16", "c5-12", "shrink", "k250", "circulant-640"],
+    )
+    def test_prebuilt_masks_take_at_most_twice_the_adjacency_bytes(self, build, d):
+        g = build()
+        assert _masks_fit(g)
+        og = build_ordered(g, d)
+        mask_bytes = sum(
+            sys.getsizeof(cache) + sum(map(sys.getsizeof, cache.values()))
+            for cache in (og.__dict__[name] for name in CACHES)
+        )
+        adjacency_bytes = sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, g.adjacency))
+        assert mask_bytes <= 2 * adjacency_bytes
