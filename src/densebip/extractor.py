@@ -14,15 +14,15 @@ certifies the supported set is large yet sparse, so a greedy independent set
 inside it yields the second side J with the promised size and degree bounds.
 
 The survivors, the layer, its edge count and the support counts are computed
-on Python-int bitmasks over the core's vertex ids: the ordered graph caches,
-per vertex, a left-neighbor mask, a neighbor mask and a holder mask (the
-vertices whose candidate set contains it). A mask takes at most n/8 bytes for
-an n-vertex core. On a dense core, where n masks take no more memory than the
-adjacency tuples, `reducer.build_ordered` fills the neighbor and left masks
-up front from its bit-sliced ordering; on a sparse core they are built on
-first use, so a trial costs at most n/8 bytes per vertex it touches the first
-time. Holder masks are always built on first use. `reducer.bitmask` and
-`reducer.mask_members` convert between id lists and masks.
+on Python-int bitmasks over the core's vertex ids: the ordered graph derives
+and caches, per vertex, a left-neighbor mask, a neighbor mask and a holder
+mask (the neighbors whose candidate set, their d smallest neighbor ids, ends
+at an id at least its own). A mask takes at most n/8 bytes for an n-vertex
+core. On a dense core, where n masks take no more memory than the adjacency
+tuples, `reducer.build_ordered` fills the neighbor and left masks up front
+from its bit-sliced ordering. Every other mask is built on first use, so a
+trial costs at most n/8 bytes per vertex it touches the first time.
+`reducer.bitmask` and `reducer.mask_members` convert between id lists and masks.
 """
 
 from __future__ import annotations

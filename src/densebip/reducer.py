@@ -1,9 +1,9 @@
 """Reduce a graph to a workable core and fix the ordering the sampler needs.
 
 The pipeline keeps only the d-core, shrinks it to an inclusion-minimal induced
-subgraph of minimum degree >= d (which forces degeneracy <= d), then records a
-left-to-right vertex ordering with bounded left-degree plus a size-d candidate
-neighbor set per vertex.
+subgraph of minimum degree >= d (which forces degeneracy <= d), then fixes a
+left-to-right order of left-degree <= d. The ordered core stores the graph,
+the order and d, and derives its left lists, candidate sets and masks.
 
 Both the d-core and the minimality scan run on one peeling routine
 (Batagelj-Zaversnik): delete some vertices, then repeatedly delete every
@@ -30,7 +30,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph
 
@@ -61,67 +61,75 @@ def mask_members(mask: int) -> list[int]:
 
 
 class VertexMasks(dict):
-    """Per-vertex bitmasks over vertex ids: self[v] is bitmask(ids[v]).
+    """Per-vertex bitmasks over vertex ids: self[v] is bitmask(ids(v)).
 
-    `masks` gives masks up front, masks[v] for vertex v; any other vertex has
-    its mask built on its first lookup. A mask takes at most n/8 bytes, so a
-    lazy cache costs that much per vertex looked up, never n^2/8 up front. It
-    holds only ints and the `ids` tuple, so it pickles with its ordered graph.
+    A mask is built on its first lookup and takes at most n/8 bytes, so the
+    cache costs that much per vertex looked up, never n^2/8 up front. `ids`
+    is a bound method, which looks its table up only on a miss and pickles
+    with its ordered graph.
     """
 
-    def __init__(self, ids: Sequence[Iterable[int]], masks: Iterable[int] = ()):
-        super().__init__(enumerate(masks))
+    def __init__(self, ids: Callable[[int], Iterable[int]]):
         self.ids = ids
 
     def __missing__(self, v: int) -> int:
-        mask = self[v] = bitmask(self.ids[v])
+        mask = self[v] = bitmask(self.ids(v))
         return mask
 
 
 @dataclass(frozen=True)
 class OrderedGraph:
-    """A graph plus its left-to-right order, left-neighbor lists and candidate sets.
+    """A graph, a left-to-right order (order[i] is the vertex at position i) and d.
 
-    order[i] is the vertex at position i; left_neighbors[v] are the neighbors
-    of v that appear earlier in the order (at most d of them); candidate_sets[v]
-    is a fixed subset of exactly d neighbors of v (the d smallest ids).
-    neighbor_masks, holder_masks and left_masks hold the adjacency lists,
-    candidate_index and left_neighbors as per-vertex int bitmasks for the
-    trial kernel. `build_ordered` fills neighbor_masks and left_masks up
-    front on a core whose masks take no more memory than its adjacency
-    tuples; otherwise, and for holder_masks always, each mask is built on
-    its first lookup.
+    All else is derived from these three fields on first use and cached.
+    candidate_sets[v] are the d smallest neighbor ids of v, so y holds x (x
+    is in y's candidate set) exactly when y is a neighbor of x and x is at
+    most the last id of y's candidate set. neighbor_masks, holder_masks and
+    left_masks hold the adjacency lists, the holders and left_neighbors as
+    per-vertex int bitmasks for the trial kernel.
     """
 
     graph: Graph
     order: tuple[int, ...]
-    left_neighbors: tuple[tuple[int, ...], ...]
-    candidate_sets: tuple[tuple[int, ...], ...]
     d: int
 
     @cached_property
-    def candidate_index(self) -> tuple[tuple[int, ...], ...]:
-        """candidate_index[x] lists the vertices whose candidate set contains x."""
-        holders: list[list[int]] = [[] for _ in range(self.graph.n)]
-        for y, cand in enumerate(self.candidate_sets):
-            for x in cand:
-                holders[x].append(y)
-        return tuple(tuple(h) for h in holders)
+    def left_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """left_neighbors[v] lists the neighbors of v that precede it in the order."""
+        pos = [0] * self.graph.n
+        for i, v in enumerate(self.order):
+            pos[v] = i
+        return tuple(
+            tuple(w for w in nbrs if pos[w] < pos[v]) for v, nbrs in enumerate(self.graph.adjacency)
+        )
+
+    @cached_property
+    def candidate_sets(self) -> tuple[tuple[int, ...], ...]:
+        """candidate_sets[v] are the d smallest neighbor ids of v, or all of them."""
+        return tuple(nbrs[: self.d] for nbrs in self.graph.adjacency)
 
     @cached_property
     def neighbor_masks(self) -> VertexMasks:
         """neighbor_masks[v] has bit w set for each neighbor w of v."""
-        return VertexMasks(self.graph.adjacency)
+        return VertexMasks(self.graph.adjacency.__getitem__)
 
     @cached_property
     def holder_masks(self) -> VertexMasks:
         """holder_masks[x] has bit y set for each y whose candidate set contains x."""
-        return VertexMasks(self.candidate_index)
+        return VertexMasks(self._holders)
 
     @cached_property
     def left_masks(self) -> VertexMasks:
         """left_masks[v] has bit w set for each left-neighbor w of v."""
-        return VertexMasks(self.left_neighbors)
+        return VertexMasks(self._left_neighbors_of)
+
+    def _holders(self, x: int) -> list[int]:
+        cand = self.candidate_sets
+        return [y for y in self.graph.adjacency[x] if cand[y] and x <= cand[y][-1]]
+
+    # left_neighbors.__getitem__ would derive every list when the cache is made
+    def _left_neighbors_of(self, v: int) -> tuple[int, ...]:
+        return self.left_neighbors[v]
 
 
 def _peel(
@@ -327,19 +335,17 @@ def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], lis
 
 
 def build_ordered(g: Graph, d: int) -> OrderedGraph:
-    """Attach the degeneracy ordering and size-d candidate sets.
+    """Order a core of min degree >= d and degeneracy <= d; reject any other graph.
 
-    Rejects graphs with min degree < d or degeneracy > d; candidate sets take
-    the d smallest neighbor ids so runs are reproducible.
-
-    The core's representation is picked once, by `_masks_fit`. When its n
+    The ordered graph stores g, the order and d and derives the rest. The
+    core's representation is picked once, by `_masks_fit`. When its n
     neighbour masks take no more memory than its adjacency tuples
     (ceil(n/64) * n <= 2m), the ordering runs on bitmasks
     (`_bit_sliced_ordering`), and the neighbour and left masks it builds
-    fill the ordered graph's `neighbor_masks` and `left_masks` caches up
-    front. Otherwise, as on a large sparse core, where n masks would take
-    about n^2/8 bytes, the ordering is the heap `degeneracy_ordering` and
-    every mask is built on first use.
+    fill the ordered graph's `neighbor_masks` and `left_masks` caches.
+    Otherwise, as on a large sparse core, where n masks would take about
+    n^2/8 bytes, the ordering is the heap `degeneracy_ordering` and every
+    mask is built on first use.
     """
     if g.n == 0:
         raise OrderingError("cannot order the empty graph")
@@ -348,21 +354,15 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
         raise OrderingError(f"min degree {min_deg} is below d={d}")
     dense = _masks_fit(g)
     if dense:
-        order, degeneracy, nbr, left_masks = _bit_sliced_ordering(g)
+        order, degeneracy, nbr, left = _bit_sliced_ordering(g)
     else:
         order, degeneracy = degeneracy_ordering(g)
     if degeneracy > d:
         raise OrderingError(f"degeneracy {degeneracy} exceeds d={d}")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # a scan rather than mask_members(left_masks): it shares the adjacency's int objects
-    left = tuple(tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n))
-    og = OrderedGraph(g, order, left, tuple(nbrs[:d] for nbrs in g.adjacency), d)
+    og = OrderedGraph(g, order, d)
     if dense:
-        # a cached_property returns what the instance __dict__ holds under its name
-        og.__dict__["neighbor_masks"] = VertexMasks(g.adjacency, nbr)
-        og.__dict__["left_masks"] = VertexMasks(left, left_masks)
+        og.neighbor_masks.update(enumerate(nbr))
+        og.left_masks.update(enumerate(left))
     return og
 
 

@@ -477,6 +477,21 @@ def reference_potential_value(
     )
 
 
+def reference_left_neighbors(g: Graph, order) -> list[tuple[int, ...]]:
+    """Reference for `OrderedGraph.left_neighbors`: each vertex's neighbors at
+    an earlier position of `order`, looked up in a position dict."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n)]
+
+
+def reference_holder_masks(g: Graph, d: int) -> list[int]:
+    """Reference for `OrderedGraph.holder_masks`: entry x has bit y set for
+    every y with x among the d smallest of y's neighbors, found by brute force."""
+    return [
+        sum(1 << y for y in range(g.n) if x in sorted(g.adjacency[y])[:d]) for x in range(g.n)
+    ]
+
+
 def reference_hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
     """Reference for `hit_layer`: count each vertex's sampled candidates in a
     list, read the layer off a scan of every vertex, and count its edges over

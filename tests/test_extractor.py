@@ -1,6 +1,5 @@
 import math
 import pickle
-import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -252,17 +251,13 @@ class TestSampleTrialOracle:
 
 @st.composite
 def ragged_cores(draw):
-    """Hand-built ordered graphs whose candidate sets are arbitrary subsets of
-    each vertex's neighbors, in arbitrary order, on up to 70 vertices so the
-    masks span several int digits."""
+    """Ordered graphs on up to 70 vertices, so the masks span several int
+    digits, under a random order and d: the left lists and candidate sets are
+    ragged, and a vertex of degree below d keeps all its neighbors as
+    candidates."""
     n = draw(st.integers(1, 70))
     g = random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.6])), draw(st.integers(0, 2**16)))
-    rng = random.Random(draw(st.integers(0, 2**16)))
-    candidates = tuple(
-        tuple(rng.sample(nbrs, rng.randint(0, len(nbrs)))) for nbrs in g.adjacency
-    )
-    left = tuple(tuple(w for w in nbrs if w < v) for v, nbrs in enumerate(g.adjacency))
-    return OrderedGraph(g, tuple(range(n)), left, candidates, draw(st.integers(1, 5)))
+    return OrderedGraph(g, tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 5)))
 
 
 def vertex_subset(data, n: int) -> list[int]:

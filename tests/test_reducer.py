@@ -1,3 +1,4 @@
+import functools
 import sys
 
 import pytest
@@ -12,9 +13,10 @@ from densebip.generators import (
     complete_bipartite,
     random_bipartite,
 )
-from densebip.extractor import derive_params, extract
+from densebip.extractor import derive_params, extract, sample_trial
 from densebip.reducer import (
     EmptyCoreError,
+    OrderedGraph,
     OrderingError,
     _bit_sliced_ordering,
     _masks_fit,
@@ -25,6 +27,8 @@ from densebip.reducer import (
     minimal_min_degree_subgraph,
     reduce_and_order,
 )
+from densebip.rng import stream
+from densebip.stats import mc_potential
 
 from helpers import (
     cycle_graph,
@@ -35,6 +39,8 @@ from helpers import (
     is_bipartite,
     path_graph,
     random_graph,
+    reference_holder_masks,
+    reference_left_neighbors,
     restart_minimal_subgraph,
     tuple_key_degeneracy_ordering,
 )
@@ -289,12 +295,6 @@ class TestBuildOrdered:
                 assert len(cand) == 2
                 assert set(cand) <= set(og.graph.adjacency[v])
 
-    def test_candidate_index_inverts_candidate_sets(self):
-        og = build_ordered(complete_bipartite(3, 3), 3)
-        for x, holders in enumerate(og.candidate_index):
-            for y in holders:
-                assert x in og.candidate_sets[y]
-
     def test_empty_graph_rejected(self):
         with pytest.raises(OrderingError):
             build_ordered(from_edge_list(0, []), 2)
@@ -315,13 +315,15 @@ def unions(draw):
     return from_edge_list(n, [(label[u], label[v]) for u, v in edges])
 
 
+@functools.cache
+def rb2500_core():
+    """The reduced core of random_bipartite(2500, 2500, 0.008, 5) at d=12: 2811
+    vertices, 44 mask words against average degree 14.4, so the heap side."""
+    return minimal_min_degree_subgraph(random_bipartite(2500, 2500, 0.008, 5), 12)[0]
+
+
 def shrink_core():
     return minimal_min_degree_subgraph(random_bipartite(150, 150, 0.3, 13), 24)[0]
-
-
-def pos_scan_left(g, order):
-    pos = {v: i for i, v in enumerate(order)}
-    return [tuple(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(g.n)]
 
 
 class TestBitSlicedOrdering:
@@ -329,7 +331,7 @@ class TestBitSlicedOrdering:
         order, degeneracy, nbr, left = _bit_sliced_ordering(g)
         assert (order, degeneracy) == degeneracy_ordering(g)
         assert (order, degeneracy) == tuple_key_degeneracy_ordering(g)
-        assert left == [bitmask(ids) for ids in pos_scan_left(g, order)]
+        assert left == [bitmask(ids) for ids in reference_left_neighbors(g, order)]
         assert nbr == [bitmask(nbrs) for nbrs in g.adjacency]
 
     @settings(max_examples=200)
@@ -345,6 +347,37 @@ class TestBitSlicedOrdering:
     def test_matches_heap_ordering_on_cores(self):
         for g in (complete_bipartite(250, 250), c5_blowup(60), shrink_core(), cycle_graph(200)):
             self.check(g)
+
+
+class TestDerivedTables:
+    @settings(max_examples=200)
+    @given(graphs(max_n=20), st.integers(0, 5), st.data())
+    def test_tables_match_references(self, g, d, data):
+        # any order and d: vertices of degree below d keep all their neighbors
+        order = tuple(data.draw(st.permutations(range(g.n))))
+        og = OrderedGraph(g, order, d)
+        assert list(og.left_neighbors) == reference_left_neighbors(g, order)
+        assert all(og.candidate_sets[v] == g.adjacency[v][:d] for v in range(g.n))
+        assert [og.holder_masks[x] for x in range(g.n)] == reference_holder_masks(g, d)
+
+    @pytest.mark.parametrize(
+        "build,d", [(lambda: complete_bipartite(16, 16), 16), (lambda: c5_blowup(12), 24)],
+        ids=["k16", "c5-12"],
+    )
+    def test_trials_on_dense_cores_build_no_left_lists(self, build, d):
+        params = derive_params(d, True)
+        og, _ = reduce_and_order(build(), d)
+        extract(og, params, seed=0)
+        assert "left_neighbors" not in og.__dict__
+        og, _ = reduce_and_order(build(), d)
+        mc_potential(og, params, 100, seed=0)
+        assert "left_neighbors" not in og.__dict__
+
+    def test_one_trial_on_a_sparse_core_builds_few_masks(self):
+        og = build_ordered(rb2500_core(), 12)
+        sample_trial(og, derive_params(12, False), stream(0, 0))
+        assert len(og.holder_masks) < og.graph.n
+        assert len(og.left_masks) < og.graph.n
 
 
 def circulant(n, k):
@@ -404,8 +437,7 @@ class TestBothBranches:
         assert built[0] == built[1]
 
     def test_sparse_cores_get_no_prebuilt_masks(self):
-        rb2500, _ = minimal_min_degree_subgraph(random_bipartite(2500, 2500, 0.008, 5), 12)
-        for g, d in ((cycle_graph(200), 2), (rb2500, 12)):
+        for g, d in ((cycle_graph(200), 2), (rb2500_core(), 12)):
             assert not _masks_fit(g)
             og = build_ordered(g, d)
             assert not any(name in og.__dict__ for name in CACHES)

@@ -27,14 +27,11 @@ from densebip.stats import (
 
 def star_ordered(leaves: int, d: int) -> OrderedGraph:
     """Hand-built ordered star: the center sits rightmost, so the leaves have
-    no left-neighbors at all. Candidate sets are ragged on purpose; only the
-    center's matters for the conditional checks."""
-    center = leaves
-    g = from_edge_list(leaves + 1, [(i, center) for i in range(leaves)])
-    order = tuple(range(leaves + 1))
-    left = tuple([()] * leaves + [tuple(range(leaves))])
-    candidates = tuple([(center,)] * leaves + [tuple(range(leaves))])
-    return OrderedGraph(g, order, left, candidates, d)
+    no left-neighbors at all. Candidate sets are ragged on purpose: a leaf's
+    holds only the center. Only the center's matters for the conditional
+    checks."""
+    g = from_edge_list(leaves + 1, [(i, leaves) for i in range(leaves)])
+    return OrderedGraph(g, tuple(range(leaves + 1)), d)
 
 
 class TestExactQ:
@@ -284,16 +281,14 @@ class TestSurvival:
 class TestEdgeIdentity:
     def test_requires_triangle_free(self):
         g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-        og = OrderedGraph(
-            g, (0, 1, 2), ((), (0,), (0, 1)), ((1, 2), (0, 2), (0, 1)), 2
-        )
+        og = OrderedGraph(g, (0, 1, 2), 2)
         params = derive_params(2, False)
         with pytest.raises(ValueError):
             mc_edge_identity(og, params, 10, seed=0)
 
     def test_edgeless_layer_target_zero(self):
         g = from_edge_list(4, [])
-        og = OrderedGraph(g, (0, 1, 2, 3), ((), (), (), ()), ((), (), (), ()), 2)
+        og = OrderedGraph(g, (0, 1, 2, 3), 2)
         params = derive_params(2, False)
         est = mc_edge_identity(og, params, 50, seed=0)
         assert est.mean == 0.0 and est.target == 0.0 and est.passed
