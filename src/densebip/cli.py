@@ -41,7 +41,7 @@ from .extractor import (
     extract,
 )
 from .graph import (
-    Graph,
+    BipartitePairReport,
     GraphError,
     bipartite_pair_report,
     canonical_sha256,
@@ -99,6 +99,20 @@ def _params_payload(params: Params) -> dict:
         "q_float": float(params.q),
         "threshold": params.threshold,
         "guarantee": params.guarantee,
+    }
+
+
+def _pair_payload(side_i: list[int], side_j: list[int], report: BipartitePairReport) -> dict:
+    """The keys `extract` and `verify` share: the pair, on the ids they print, and its report."""
+    return {
+        "I": side_i,
+        "J": side_j,
+        "I_size": len(side_i),
+        "J_size": len(side_j),
+        "cross_edges": report.cross_edges,
+        "average_degree": _rational(report.average_degree),
+        "average_degree_float": float(report.average_degree),
+        "valid": report.valid,
     }
 
 
@@ -195,14 +209,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "reduced_n": og.graph.n,
         "reduced_m": og.graph.m,
         "trials_used": result.trials_used,
-        "I": side_i,
-        "J": side_j,
-        "I_size": len(side_i),
-        "J_size": len(side_j),
-        "cross_edges": report.cross_edges,
-        "average_degree": _rational(report.average_degree),
-        "average_degree_float": float(report.average_degree),
-        "valid": report.valid,
+        **_pair_payload(side_i, side_j, report),
     }
     if params.guarantee:
         payload["guarantee_checks"] = {
@@ -280,48 +287,34 @@ def cmd_stats(args: argparse.Namespace) -> int:
         y = _translate_vertex(original, args.y, 0)
         est = cli.mc_conditional(og, params, y, trials, seed, args.workers)
         payload["vertex"] = original[y]
-        payload["estimate"] = asdict(est)
-        passed = est.passed
     elif args.check == "survival":
         default_x = max(range(og.graph.n), key=lambda v: (len(og.left_neighbors[v]), -v))
         x = _translate_vertex(original, args.x, default_x)
         est = cli.mc_per_vertex_survival(og, params, x, trials, seed, args.workers)
         payload["vertex"] = original[x]
         payload["left_degree"] = len(og.left_neighbors[x])
-        payload["estimate"] = asdict(est)
-        passed = est.passed
     elif args.check == "edge-identity":
         est = cli.mc_edge_identity(og, params, trials, seed, args.workers)
-        payload["estimate"] = asdict(est)
-        passed = est.passed
     elif args.check == "potential":
-        est, rate = cli.mc_potential(og, params, trials, seed, args.workers)
-        payload["estimate"] = asdict(est)
-        payload["success_rate"] = rate
-        passed = est.passed
+        est, payload["success_rate"] = cli.mc_potential(og, params, trials, seed, args.workers)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown check {args.check!r}")
-    payload["passed"] = passed
+    payload["estimate"] = asdict(est)
+    payload["passed"] = est.passed
     _emit(payload)
-    return 0 if passed else 1
+    return 0 if est.passed else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = load_graph(args.infile)
+    # the 0-core is the whole graph, and load_core hashes a canonical file's bytes
+    g, _, sha256 = load_core(args.infile, 0)
     side_i = _parse_id_list(args.I)
     side_j = _parse_id_list(args.J)
     report = bipartite_pair_report(g, side_i, side_j)
     _emit(
         {
-            "input_sha256": canonical_sha256(g),
-            "I": list(report.I),
-            "J": list(report.J),
-            "I_size": len(report.I),
-            "J_size": len(report.J),
-            "cross_edges": report.cross_edges,
-            "average_degree": _rational(report.average_degree),
-            "average_degree_float": float(report.average_degree),
-            "valid": report.valid,
+            "input_sha256": sha256,
+            **_pair_payload(list(report.I), list(report.J), report),
             "reason": report.reason,
         }
     )

@@ -46,20 +46,21 @@ def _vertex_subset(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1, n = len(adjacency).
 
-    adjacency[v] is the sorted tuple of neighbors of v; m is the edge count,
-    always half the sum of adjacency lengths.
+    adjacency[v] is the sorted tuple of neighbors of v; m, the edge count, is
+    half the sum of adjacency lengths.
     """
 
-    n: int
     adjacency: tuple[tuple[int, ...], ...]
-    m: int
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
 
     @cached_property
-    def _sha256(self) -> str:
-        # read through canonical_sha256; load_core fills it from a canonical file's bytes
-        return hashlib.sha256(format_edge_list(self).encode("ascii")).hexdigest()
+    def m(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -132,8 +133,7 @@ class Graph:
         adjacency = tuple(
             tuple(old_to_new[w] for w in self.adjacency[v] if w in old_to_new) for v in vs
         )
-        m = sum(len(nbrs) for nbrs in adjacency) // 2
-        return Graph(len(vs), adjacency, m), old_to_new
+        return Graph(adjacency), old_to_new
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         vs = _vertex_subset(self.n, vertices)
@@ -156,8 +156,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"self-loop at vertex {u}")
         lists[u].append(v)
         lists[v].append(u)
-    adjacency = tuple(tuple(sorted(set(nbrs))) for nbrs in lists)
-    return Graph(n, adjacency, sum(map(len, adjacency)) // 2)
+    return Graph(tuple(tuple(sorted(set(nbrs))) for nbrs in lists))
 
 
 # int() alone would also take "1_0", "+1" and non-ASCII digits such as "٣"
@@ -297,15 +296,15 @@ def _canonical_edges(data: bytes) -> tuple[int, int, array, array] | None:
     return n, m, us, vs
 
 
-def _sorted_edges_graph(n: int, m: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
-    """The graph on 0..n-1 with the m edges (u, v), given with u < v in
+def _sorted_edges_graph(n: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
+    """The graph on 0..n-1 with the edges (u, v), given with u < v in
     strictly increasing (u, v) order."""
     lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(us, vs):
         lists[u].append(v)
         lists[v].append(u)
     # each list gets its smaller neighbours first, both runs ascending
-    return Graph(n, tuple(map(tuple, lists)), m)
+    return Graph(tuple(map(tuple, lists)))
 
 
 def _drop_low(us: Sequence[int], vs: Sequence[int], d: int, deg: list[int],
@@ -379,9 +378,7 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
         return g, range(g.n), canonical_sha256(g)
     n, m, us, vs = edges
     if 2 * m >= d * n:
-        g = _sorted_edges_graph(n, m, us, vs)
-        g.__dict__["_sha256"] = sha256 = hashlib.sha256(data).hexdigest()
-        return g, range(n), sha256
+        return _sorted_edges_graph(n, us, vs), range(n), hashlib.sha256(data).hexdigest()
     deg = [0] * n
     high: Sequence[int] = range(n)
     while us:
@@ -392,8 +389,7 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     ids = sorted({*us, *vs})
     local = {v: i for i, v in enumerate(ids)}
     # the relabelling is monotone, so the edges stay in increasing order
-    g = _sorted_edges_graph(len(ids), len(us), map(local.__getitem__, us),
-                            map(local.__getitem__, vs))
+    g = _sorted_edges_graph(len(ids), map(local.__getitem__, us), map(local.__getitem__, vs))
     return g, ids, hashlib.sha256(data).hexdigest()
 
 
@@ -409,7 +405,7 @@ def save_graph(g: Graph, path: str | Path) -> None:
 
 def canonical_sha256(g: Graph) -> str:
     """Hash of the canonical serialization; stable across formatting variants."""
-    return g._sha256
+    return hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,22 @@
 Each check returns an Estimate carrying a 95% interval and a pass flag whose
 meaning depends on the claim: lower-bound claims pass when the interval clears
 the target, identities pass when the interval contains it. All checks are
-deterministic given (seed, trials) and independent of the worker count.
+deterministic given (seed, trials) and independent of the worker count: trial
+i draws from its own stream `stream(seed, i)` and `iter_indexed` yields the
+results in index order, whichever process computed them. With workers > 1
+the trials fan out to a process pool that receives the shared arguments once,
+through its initializer, so tasks carry only indices; `concurrent.futures` is
+imported only when a pool is opened. `extract` runs its trials serially.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .extractor import (
     GUARANTEE_MIN_DEGREE,
@@ -29,7 +35,6 @@ from .extractor import (
     survival_probability,
     target_hit_count,
 )
-from .parallel import iter_indexed
 from .reducer import OrderedGraph
 from .rng import sampled_members, stream
 
@@ -80,17 +85,57 @@ class MarkovBound:
     trials: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+_WORK: tuple[Callable, Any] | None = None
+
+
+def _init_worker(fn: Callable, args: Any) -> None:
+    global _WORK
+    _WORK = (fn, args)
+
+
+def _run_index(index: int):
+    fn, args = _WORK  # type: ignore[misc]
+    return fn(args, index)
+
+
+def iter_indexed(fn: Callable[[Any, int], Any], args: Any, count: int,
+                 workers: int = 1) -> Iterator[Any]:
+    """Yield fn(args, index) for index in range(count), in index order.
+
+    A pool opens only for two or more indices, with at most
+    min(workers, count, os.cpu_count()) processes: a fork pool starts all of
+    them on the first task, and more processes than CPUs or tasks only wait.
+    Every index goes to it in one `map`, in about four chunks per process:
+    each consumer reads all of the trials, so no index is computed in vain.
+    `fn` must be a picklable module-level function.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    workers = min(workers, count, os.cpu_count() or 1)
+    if workers <= 1:
+        for i in range(count):
+            yield fn(args, i)
+        return
+    import concurrent.futures as cf
+
+    chunk = -(-count // (4 * workers))
+    with cf.ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(fn, args)
+    ) as pool:
+        yield from pool.map(_run_index, range(count), chunksize=chunk)
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     # at the boundaries the true endpoints are exactly 0 and 1; float rounding
     # of the closed form misses them by an ulp
     low = 0.0 if successes == 0 else max(0.0, center - half)
@@ -98,14 +143,14 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return low, high
 
 
-def mean_interval(values: Sequence[float], z: float = Z95) -> tuple[float, float, float]:
+def mean_interval(values: Sequence[float]) -> tuple[float, float, float]:
     """(mean, low, high): normal-approximation interval for a sample mean."""
     k = len(values)
     if k < 1:
         raise ValueError("need at least one value")
     mu = statistics.fmean(values)
     sd = statistics.stdev(values) if k > 1 else 0.0
-    half = z * sd / math.sqrt(k)
+    half = Z95 * sd / math.sqrt(k)
     return mu, mu - half, mu + half
 
 
@@ -145,20 +190,31 @@ def _require_conditionable(og: OrderedGraph, params: Params, y: int, trials: int
         raise ValueError(f"vertex {y} has degree below d={params.d}")
 
 
-def _forced_trial(og: OrderedGraph, params: Params, y: int, forced, rng) -> ConditionalTrial:
-    """Complete a trial whose candidate-set coordinates are pinned to `forced`."""
+def _free_vertices(og: OrderedGraph, y: int) -> list[int]:
+    """The vertices outside y's candidate set, in ascending order: those a
+    conditioned trial samples at 1/d."""
     blocked = set(og.candidate_sets[y])
-    free = [v for v in range(og.graph.n) if v not in blocked]
+    return [v for v in range(og.graph.n) if v not in blocked]
+
+
+def _forced_trial(params: Params, y: int, free: list[int], forced, rng) -> ConditionalTrial:
+    """Complete a trial whose candidate-set coordinates are pinned to `forced`;
+    `free` is `_free_vertices(og, y)`."""
     sampled = set(forced)
     sampled.update(sampled_members(rng, free, params.d))
     return ConditionalTrial(y, tuple(sorted(forced)), tuple(sorted(sampled)))
 
 
+def _draw_forced(og: OrderedGraph, params: Params, y: int, free: list[int],
+                 rng) -> ConditionalTrial:
+    forced = rng.sample(og.candidate_sets[y], params.ell)
+    return _forced_trial(params, y, free, forced, rng)
+
+
 def draw_conditional_trial(og: OrderedGraph, params: Params, y: int, rng) -> ConditionalTrial:
     """Force the sample's intersection with y's candidate set to a uniform
     size-ell subset; every other vertex is sampled independently at 1/d."""
-    forced = rng.sample(og.candidate_sets[y], params.ell)
-    return _forced_trial(og, params, y, forced, rng)
+    return _draw_forced(og, params, y, _free_vertices(og, y), rng)
 
 
 def _conditional_outcome(og: OrderedGraph, params: Params, trial: ConditionalTrial) -> tuple[bool, int]:
@@ -168,9 +224,9 @@ def _conditional_outcome(og: OrderedGraph, params: Params, trial: ConditionalTri
 
 
 def _conditional_worker(args, index: int) -> tuple[bool, int]:
-    og, params, y, seed = args
+    og, params, y, free, seed = args
     rng = stream(seed, index)
-    return _conditional_outcome(og, params, draw_conditional_trial(og, params, y, rng))
+    return _conditional_outcome(og, params, _draw_forced(og, params, y, free, rng))
 
 
 def mc_conditional(
@@ -182,18 +238,19 @@ def mc_conditional(
     the rest sampled, which is valid because coordinates are independent.
     """
     _require_conditionable(og, params, y, trials)
+    args = (og, params, y, _free_vertices(og, y), seed)
     successes = 0
-    for _, (ok, _) in iter_indexed(_conditional_worker, (og, params, y, seed), trials, workers):
+    for ok, _ in iter_indexed(_conditional_worker, args, trials, workers):
         successes += ok
     low, high = wilson_interval(successes, trials)
     return Estimate(successes / trials, trials, low, high, CONDITIONAL_TARGET, low > CONDITIONAL_TARGET)
 
 
 def _sweep_worker(args, index: int) -> tuple[int, bool]:
-    og, params, y, seed, subsets, trials = args
+    og, params, y, free, seed, subsets, trials = args
     subset_index, _ = divmod(index, trials)
     rng = stream(seed, index)
-    trial = _forced_trial(og, params, y, subsets[subset_index], rng)
+    trial = _forced_trial(params, y, free, subsets[subset_index], rng)
     ok, _ = _conditional_outcome(og, params, trial)
     return subset_index, ok
 
@@ -220,8 +277,8 @@ def mc_conditional_sweep(
     if len(subsets) > cap:
         raise ValueError(f"{len(subsets)} forced subsets exceed the sweep cap {cap}")
     counts = [0] * len(subsets)
-    args = (og, params, y, seed, subsets, trials)
-    for _, (subset_index, ok) in iter_indexed(_sweep_worker, args, len(subsets) * trials, workers):
+    args = (og, params, y, _free_vertices(og, y), seed, subsets, trials)
+    for subset_index, ok in iter_indexed(_sweep_worker, args, len(subsets) * trials, workers):
         counts[subset_index] += ok
     worst_index = min(range(len(subsets)), key=lambda i: (counts[i], subsets[i]))
     low, high = wilson_interval(counts[worst_index], trials)
@@ -240,7 +297,8 @@ def mc_markov_bound(
     total_missing = 0
     high_missing = 0
     cutoff = 0.9 * params.ell
-    for _, (_, missing) in iter_indexed(_conditional_worker, (og, params, y, seed), trials, workers):
+    args = (og, params, y, _free_vertices(og, y), seed)
+    for _, missing in iter_indexed(_conditional_worker, args, trials, workers):
         total_missing += missing
         if missing >= cutoff:
             high_missing += 1
@@ -265,7 +323,7 @@ def mc_per_vertex_survival(
     require_compatible(og, params)
     require_vertex(og, x)
     successes = 0
-    for _, r in iter_indexed(_survival_worker, (og, params, x, seed), trials, workers):
+    for r in iter_indexed(_survival_worker, (og, params, x, seed), trials, workers):
         successes += r
     low, high = wilson_interval(successes, trials)
     target = survival_probability(params.d, exposures=len(og.left_neighbors[x]))
@@ -291,8 +349,7 @@ def mc_edge_identity(
     if not og.graph.is_triangle_free():
         raise ValueError("edge identity requires a triangle-free graph")
     values = [
-        float(v)
-        for _, v in iter_indexed(_edge_identity_worker, (og, params, seed), trials, workers)
+        float(v) for v in iter_indexed(_edge_identity_worker, (og, params, seed), trials, workers)
     ]
     mu, low, high = mean_interval(values)
     target = float(params.q * params.q * og.graph.m)
@@ -314,7 +371,7 @@ def mc_potential(
     """
     _require_trials(trials)
     require_compatible(og, params)
-    potentials = [v for _, v in iter_indexed(_potential_worker, (og, params, seed), trials, workers)]
+    potentials = list(iter_indexed(_potential_worker, (og, params, seed), trials, workers))
     successes = sum(1 for v in potentials if v > 0)
     mu, low, high = mean_interval([float(v) for v in potentials])
     estimate = Estimate(mu, trials, low, high, 0.0, low > 0.0)

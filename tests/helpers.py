@@ -82,7 +82,7 @@ def pairset_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         lists[u].append(v)
         lists[v].append(u)
     adjacency = tuple(tuple(sorted(nbrs)) for nbrs in lists)
-    return Graph(n, adjacency, len(seen))
+    return Graph(adjacency)
 
 
 def reference_induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -94,7 +94,7 @@ def reference_induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph
     adjacency = tuple(
         tuple(old_to_new[w] for w in g.adjacency[v] if w in old_to_new) for v in vs
     )
-    return Graph(len(vs), adjacency, sum(map(len, adjacency)) // 2), old_to_new
+    return Graph(adjacency), old_to_new
 
 
 def reference_load_graph(path: str | Path) -> Graph:
@@ -211,8 +211,11 @@ def reference_potential_stdout(
 
 
 def reference_canonical_sha256(g: Graph) -> str:
-    """Reference for `canonical_sha256`: always re-serialise, never cached."""
-    return hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest()
+    """Reference for `canonical_sha256`: the canonical text rebuilt from the
+    sorted set of edge pairs, without `format_edge_list`, `n` or `m`."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, nbrs in enumerate(g.adjacency) for v in nbrs})
+    text = f"{len(g.adjacency)} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _first_triangle(nbrs: list[set[int]], n: int) -> tuple[int, int, int] | None:

@@ -517,8 +517,7 @@ def test_commands_import_only_what_they_run(k16_file):
     steps = {step: set(names) for step, names in result["steps"].items()}
     assert {m for m in steps["import"] if m.startswith("densebip.")} == set()
     assert {"densebip.cli", "densebip.extractor", "densebip.reducer"} <= steps["extract"]
-    unused = {"densebip.stats", "densebip.oracle", "densebip.generators", "densebip.parallel",
-              "concurrent.futures"}
+    unused = {"densebip.stats", "densebip.oracle", "densebip.generators", "concurrent.futures"}
     assert unused & steps["extract"] == set()
     assert "densebip.stats" in steps["stats"]
     assert "concurrent.futures" not in steps["stats"]

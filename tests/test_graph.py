@@ -658,6 +658,40 @@ class TestLoadCore:
         assert peak < 55 * g.m
 
 
+def _holds_its_facts(g):
+    """n, m and the hash of `g` follow from its adjacency alone."""
+    assert g.n == len(g.adjacency)
+    assert g.m == len(list(g.edges()))
+    assert canonical_sha256(g) == reference_canonical_sha256(g)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_every_way_to_make_a_graph_keeps_its_facts(el_path, data):
+    n = data.draw(st.integers(0, 14))
+    pairs = []
+    if n >= 2:
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=40))
+    g = from_edge_list(n, pairs)
+    digest = reference_canonical_sha256(g)
+    canonical = format_edge_list(g)
+    crlf = "# c\r\n" + canonical.replace("\n", "\r\n")
+    made = [g, parse_edge_list(canonical), parse_edge_list(crlf)]
+    d = data.draw(st.integers(1, 6))
+    for text in (canonical, crlf):
+        el_path.write_bytes(text.encode("ascii"))
+        for k in (0, d):
+            core, _, loaded_digest = load_core(el_path, k)
+            assert loaded_digest == digest
+            made.append(core)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    made.append(g.induced_subgraph(compress(range(n), keep))[0])
+    for made_graph in made:
+        _holds_its_facts(made_graph)
+
+
 @st.composite
 def filter_inputs(draw):
     """(n, us, vs): canonical edges, each pair of a few ids kept by a coin

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import operator
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,10 +12,12 @@ from densebip.graph import from_edge_list
 from densebip.reducer import OrderedGraph, reduce_and_order
 from densebip.rng import stream
 from densebip.generators import c5_blowup
+import densebip.stats
 from densebip.stats import (
     check_q_bound,
     derive_params,
     draw_conditional_trial,
+    iter_indexed,
     log_spaced_ints,
     mc_conditional,
     mc_conditional_sweep,
@@ -350,3 +355,50 @@ def test_every_check_deterministic_given_seed_and_trials():
     )
     assert mc_edge_identity(og, params, 150, seed=8) == mc_edge_identity(og, params, 150, seed=8)
     assert mc_potential(og, params, 150, seed=8) == mc_potential(og, params, 150, seed=8)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 11])
+def test_pool_yields_the_serial_values(count, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    # 11 indices at 2 workers: chunks of 2, the last one short
+    serial = list(iter_indexed(operator.pow, 3, count))
+    assert serial == [3**i for i in range(count)]
+    assert list(iter_indexed(operator.pow, 3, count, workers=2)) == serial
+
+
+def test_negative_count_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(iter_indexed(operator.pow, 3, -1))
+
+
+@pytest.mark.parametrize("workers, count, cpus, opened", [
+    (5000, 11, 2, [2]),  # capped at the CPU count
+    (5000, 3, 64, [3]),  # capped at the index count
+    (3, 11, 8, [3]),
+    (2, 1, 8, []),  # one index runs in this process
+    (4, 100, None, []),  # an unknown CPU count counts as one
+])
+def test_pool_is_bounded_by_cpus_and_indices(monkeypatch, workers, count, cpus, opened):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(densebip.stats, "_WORK", None)
+    assert list(iter_indexed(operator.pow, 3, count, workers)) == [3**i for i in range(count)]
+    assert sizes == opened
