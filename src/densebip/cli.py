@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,7 +298,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         est, payload["success_rate"] = cli.mc_potential(og, params, trials, seed, args.workers)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown check {args.check!r}")
-    payload["estimate"] = asdict(est)
+    payload["estimate"] = est._asdict()
     payload["passed"] = est.passed
     _emit(payload)
     return 0 if est.passed else 1

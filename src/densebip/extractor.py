@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .graph import BipartitePairReport, Graph, bipartite_pair_report
+from .graph import Graph, bipartite_pair_report
 from .reducer import OrderedGraph, bitmask, mask_members
 from .rng import sampled_members, stream
 
@@ -99,8 +99,7 @@ def target_hit_count(d: int) -> int:
     return math.floor(math.log(d) / math.log(math.log(d)))
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "d ell p q threshold guarantee")):
     """Derived sampling constants for degree parameter d.
 
     ell is the exact number of candidate-set hits that puts a vertex in the
@@ -110,12 +109,7 @@ class Params:
     layer vertex needs to join the supported set.
     """
 
-    d: int
-    ell: int
-    p: Fraction
-    q: Fraction
-    threshold: int
-    guarantee: bool
+    __slots__ = ()
 
     @property
     def degree_floor(self) -> Fraction:
@@ -164,8 +158,9 @@ def derive_params(d: int, guarantee_mode: bool) -> Params:
     return Params(d, ell, p, q, threshold, guarantee_mode)
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
+class SampleOutcome(
+    namedtuple("SampleOutcome", "sampled survivors layer supported layer_edges potential")
+):
     """One sampling trial.
 
     sampled is the 1/d-sample; survivors its left-minimal members (always an
@@ -175,12 +170,7 @@ class SampleOutcome:
     exact acceptance value.
     """
 
-    sampled: tuple[int, ...]
-    survivors: tuple[int, ...]
-    layer: tuple[int, ...]
-    supported: tuple[int, ...]
-    layer_edges: int
-    potential: Fraction
+    __slots__ = ()
 
 
 def potential_value(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> Fraction:
@@ -319,8 +309,9 @@ def greedy_independent_set(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(
+    namedtuple("ExtractionResult", "I J report trials_used seed params meets_floor")
+):
     """Accepted pair and its trial metadata.
 
     I is the survivor side of the accepted trial; J a greedy independent set
@@ -330,13 +321,7 @@ class ExtractionResult:
     result always has |I| <= 230 |J|: `extract` raises rather than return one.
     """
 
-    I: tuple[int, ...]
-    J: tuple[int, ...]
-    report: BipartitePairReport
-    trials_used: int
-    seed: int
-    params: Params
-    meets_floor: bool | None
+    __slots__ = ()
 
 
 def extract(

@@ -13,13 +13,13 @@ import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import add, lt, mul
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 # Every vertex gets an adjacency list, isolated or not, so a header alone could
 # ask for gigabytes; above this count the input is refused before any is made.
@@ -44,15 +44,12 @@ def _vertex_subset(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
     return vs
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "adjacency")):
     """Simple undirected graph on vertices 0..n-1, n = len(adjacency).
 
     adjacency[v] is the sorted tuple of neighbors of v; m, the edge count, is
     half the sum of adjacency lengths.
     """
-
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -408,8 +405,10 @@ def canonical_sha256(g: Graph) -> str:
     return hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True)
-class BipartitePairReport:
+class BipartitePairReport(
+    namedtuple("BipartitePairReport", "I J cross_edges average_degree valid reason",
+               defaults=(None,))
+):
     """Validation record for a candidate pair of independent sets (I, J).
 
     When valid, average_degree equals 2*cross_edges/(|I|+|J|), which is the
@@ -417,12 +416,7 @@ class BipartitePairReport:
     with average degree 0.
     """
 
-    I: tuple[int, ...]
-    J: tuple[int, ...]
-    cross_edges: int
-    average_degree: Fraction
-    valid: bool
-    reason: str | None = None
+    __slots__ = ()
 
 
 def bipartite_pair_report(g: Graph, I: Iterable[int], J: Iterable[int]) -> BipartitePairReport:

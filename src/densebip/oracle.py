@@ -8,7 +8,7 @@ size cap since the cost is 2^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graph import Graph
@@ -17,13 +17,10 @@ from .reducer import bitmask, mask_members
 DEFAULT_CAP = 18
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(namedtuple("OracleResult", "best_value witness_I witness_J")):
     """Exact optimum with a witness pair realizing it."""
 
-    best_value: Fraction
-    witness_I: tuple[int, ...]
-    witness_J: tuple[int, ...]
+    __slots__ = ()
 
 
 def _two_color(masks: list[int], subset: int) -> tuple[int, int] | None:

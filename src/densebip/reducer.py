@@ -27,10 +27,10 @@ adjacency tuples, and on a binary heap otherwise; both give the same order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import compress, count
-from typing import Callable, Iterable, Sequence
 
 from .graph import Graph
 
@@ -77,8 +77,7 @@ class VertexMasks(dict):
         return mask
 
 
-@dataclass(frozen=True)
-class OrderedGraph:
+class OrderedGraph(namedtuple("OrderedGraph", "graph order d")):
     """A graph, a left-to-right order (order[i] is the vertex at position i) and d.
 
     All else is derived from these three fields on first use and cached.
@@ -88,10 +87,6 @@ class OrderedGraph:
     left_masks hold the adjacency lists, the holders and left_neighbors as
     per-vertex int bitmasks for the trial kernel.
     """
-
-    graph: Graph
-    order: tuple[int, ...]
-    d: int
 
     @cached_property
     def left_neighbors(self) -> tuple[tuple[int, ...], ...]:

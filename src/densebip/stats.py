@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from itertools import combinations
-from typing import Any, Callable, Iterator, Sequence
 
 from .extractor import (
     GUARANTEE_MIN_DEGREE,
@@ -42,53 +42,36 @@ Z95 = 1.96
 CONDITIONAL_TARGET = 0.2  # supported-given-layer probability must beat 1/5
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(namedtuple("Estimate", "mean trials ci_low ci_high target passed")):
     """Monte Carlo estimate with a 95% interval and the claim's target."""
 
-    mean: float
-    trials: int
-    ci_low: float
-    ci_high: float
-    target: float
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QBoundCheck:
+class QBoundCheck(namedtuple("QBoundCheck", "d ell ratio passed")):
     """Ratio q/p at the guarantee hit target; passes at >= 0.35."""
 
-    d: int
-    ell: int
-    ratio: float
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConditionalTrial:
+class ConditionalTrial(namedtuple("ConditionalTrial", "vertex forced sampled")):
     """One conditioned draw: the sample meets the vertex's candidate set in
     exactly the chosen forced subset."""
 
-    vertex: int
-    forced: tuple[int, ...]
-    sampled: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MarkovBound:
+class MarkovBound(namedtuple("MarkovBound", "mean_missing frac_high_missing ell trials")):
     """Forced-subset attrition: mean count of forced vertices that fail to
     survive, and how often at least 90% of them fail."""
 
-    mean_missing: float
-    frac_high_missing: float
-    ell: int
-    trials: int
+    __slots__ = ()
 
 
-_WORK: tuple[Callable, Any] | None = None
+_WORK: tuple[Callable, object] | None = None
 
 
-def _init_worker(fn: Callable, args: Any) -> None:
+def _init_worker(fn: Callable, args: object) -> None:
     global _WORK
     _WORK = (fn, args)
 
@@ -98,8 +81,8 @@ def _run_index(index: int):
     return fn(args, index)
 
 
-def iter_indexed(fn: Callable[[Any, int], Any], args: Any, count: int,
-                 workers: int = 1) -> Iterator[Any]:
+def iter_indexed(fn: Callable[[object, int], object], args: object, count: int,
+                 workers: int = 1) -> Iterator[object]:
     """Yield fn(args, index) for index in range(count), in index order.
 
     A pool opens only for two or more indices, with at most

@@ -7,7 +7,6 @@ import heapq
 import json
 import random
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, compress, permutations
 from operator import and_
@@ -203,7 +202,7 @@ def reference_potential_stdout(
         "seed": seed,
         "trials": trials,
         "params": _params_payload(params),
-        "estimate": asdict(est),
+        "estimate": est._asdict(),
         "success_rate": rate,
         "passed": est.passed,
     }

@@ -507,20 +507,23 @@ print(json.dumps({"codes": codes, "steps": steps}))
 
 def test_commands_import_only_what_they_run(k16_file):
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", f"PATH = {k16_file!r}\n" + IMPORT_PROBE],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0]
-    steps = {step: set(names) for step, names in result["steps"].items()}
-    assert {m for m in steps["import"] if m.startswith("densebip.")} == set()
-    assert {"densebip.cli", "densebip.extractor", "densebip.reducer"} <= steps["extract"]
-    unused = {"densebip.stats", "densebip.oracle", "densebip.generators", "concurrent.futures"}
-    assert unused & steps["extract"] == set()
-    assert "densebip.stats" in steps["stats"]
-    assert "concurrent.futures" not in steps["stats"]
+    # -S keeps site from importing typing first, as some .pth files do
+    for flags in [(), ("-S",)]:
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", f"PATH = {k16_file!r}\n" + IMPORT_PROBE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        result = json.loads(done.stdout)
+        assert result["codes"] == [0, 0]
+        steps = {step: set(names) for step, names in result["steps"].items()}
+        assert {m for m in steps["import"] if m.startswith("densebip.")} == set()
+        assert {"densebip.cli", "densebip.extractor", "densebip.reducer"} <= steps["extract"]
+        stdlib_unused = {"concurrent.futures", "dataclasses", "inspect", "typing"}
+        unused = {"densebip.stats", "densebip.oracle", "densebip.generators", *stdlib_unused}
+        assert unused & steps["extract"] == set()
+        assert "densebip.stats" in steps["stats"]
+        assert stdlib_unused & steps["stats"] == set()
 
 
 # small versions of the four benchmark inputs, and the planted block with CRLF

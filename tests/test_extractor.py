@@ -1,6 +1,5 @@
 import math
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -223,7 +222,7 @@ def ordered_cores(draw):
     params = derive_params(d, guarantee)
     threshold = draw(st.one_of(st.none(), st.integers(0, 3)))
     if threshold is not None:
-        params = replace(params, threshold=threshold)
+        params = params._replace(threshold=threshold)
     return og, params
 
 
