@@ -33,7 +33,6 @@ _EXPORTS = {
         "extract",
         "greedy_independent_set",
         "left_minimal_members",
-        "potential",
         "potential_value",
         "sample_trial",
         "survival_probability",

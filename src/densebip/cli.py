@@ -172,8 +172,8 @@ def _reduced_input(args: argparse.Namespace) -> tuple[str, Params, OrderedGraph,
     check_degree(args.d, args.guarantee)  # a bad --d fails before the read
     g, ids, sha256 = load_core(args.infile, args.d)
     params = derive_params(args.d, args.guarantee)
-    og, mapping = reduce_and_order(g, args.d)
-    return sha256, params, og, tuple(ids[v] for v in sorted(mapping))
+    og, kept = reduce_and_order(g, args.d)
+    return sha256, params, og, tuple(ids[v] for v in kept)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -184,17 +184,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     try:
         result = extract(og, params, seed, args.max_retries)
     except ExtractionError as exc:
-        payload = {
+        _emit({
             "error": str(exc),
             "diagnostics": exc.diagnostics,
             "input_sha256": sha256,
             "seed": seed,
             "params": _params_payload(params),
-        }
-        if args.json:
-            _emit(payload)
-        else:
-            print(f"extraction failed: {exc}", file=sys.stderr)
+        })
         return 1
     # extract verified I and J on the core, which the input induces: the same
     # cross edges and independence as on the input ids
@@ -217,16 +213,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "size_ratio_bound": SIZE_RATIO_BOUND,
             "size_ratio_ok": True,  # extract raises on a pair that breaks the ratio
         }
-    failed = not report.valid or result.meets_floor is False
-    if args.json:
-        _emit(payload)
-    else:
-        print(f"pair sizes |I|={len(side_i)} |J|={len(side_j)}")
-        print(f"cross edges {report.cross_edges}")
-        print(f"average degree {_rational(report.average_degree)}"
-              f" ({float(report.average_degree):.4f})")
-        print(f"trials used {result.trials_used}; valid={report.valid}")
-    return 1 if failed else 0
+    _emit(payload)
+    return 1 if not report.valid or result.meets_floor is False else 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -346,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--max-retries", type=int, default=1000)
     ext.add_argument("--workers", type=int, default=1,
                      help="checked and ignored: extract runs its trials in one process")
-    ext.add_argument("--json", action="store_true", help="machine-readable report")
+    ext.add_argument("--json", action="store_true",
+                     help="accepted and ignored: extract always prints its JSON report")
     ext.set_defaults(func=cmd_extract)
 
     orc = sub.add_parser("oracle", help="exact best induced bipartite average degree")

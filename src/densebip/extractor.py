@@ -186,13 +186,6 @@ def potential_value(n_supported: int, layer_edges: int, n_sampled: int, params: 
     )
 
 
-def potential(outcome: SampleOutcome, params: Params) -> Fraction:
-    """Recompute the acceptance potential of an outcome under `params`."""
-    return potential_value(
-        len(outcome.supported), outcome.layer_edges, len(outcome.sampled), params
-    )
-
-
 def require_compatible(og: OrderedGraph, params: Params) -> None:
     """Reject an ordered graph built for a different d than `params`."""
     if og.d != params.d:
@@ -309,16 +302,15 @@ def greedy_independent_set(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-class ExtractionResult(
-    namedtuple("ExtractionResult", "I J report trials_used seed params meets_floor")
-):
+class ExtractionResult(namedtuple("ExtractionResult", "report trials_used meets_floor")):
     """Accepted pair and its trial metadata.
 
-    I is the survivor side of the accepted trial; J a greedy independent set
-    inside the supported layer minus I; report the verification of the pair on
-    the ordered graph's vertex ids; meets_floor whether its average degree
-    reaches params.degree_floor (None in best-effort mode). A guarantee-mode
-    result always has |I| <= 230 |J|: `extract` raises rather than return one.
+    report is the verification of the pair on the ordered graph's vertex ids:
+    report.I is the survivor side of the accepted trial, report.J a greedy
+    independent set inside the supported layer minus I. trials_used counts
+    the trials drawn; meets_floor is whether the average degree reaches
+    params.degree_floor (None in best-effort mode). A guarantee-mode result
+    always has |I| <= 230 |J|: `extract` raises rather than return one.
     """
 
     __slots__ = ()
@@ -366,11 +358,11 @@ def extract(
         "supported": len(outcome.supported),
         "seed": seed,
     }
-    pool = sorted(set(outcome.supported) - set(outcome.survivors))
+    pool = set(outcome.supported) - set(outcome.survivors)
     if not pool:
         raise ExtractionError("supported layer is contained in the survivor side", diagnostics)
-    sub, _ = og.graph.induced_subgraph(pool)  # relabels in ascending order
-    side_j = tuple(pool[i] for i in greedy_independent_set(sub))
+    sub, kept = og.graph.induced_subgraph(pool)
+    side_j = tuple(kept[i] for i in greedy_independent_set(sub))
     side_i = outcome.survivors
     if not side_j:
         raise ExtractionError("greedy selection returned no vertices", diagnostics)
@@ -384,4 +376,4 @@ def extract(
             f"survivor side exceeds {SIZE_RATIO_BOUND}x the partner side", diagnostics
         )
     meets_floor = report.average_degree >= params.degree_floor if params.guarantee else None
-    return ExtractionResult(side_i, side_j, report, accepted_index + 1, seed, params, meets_floor)
+    return ExtractionResult(report, accepted_index + 1, meets_floor)

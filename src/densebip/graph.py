@@ -117,20 +117,20 @@ class Graph(namedtuple("Graph", "adjacency")):
                 unseen -= layer
         return True
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Subgraph on `vertices`, densely relabeled; also returns the old->new id map.
+    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
+        """(sub, kept): the subgraph on `vertices`, densely relabeled, and the
+        ascending kept ids, kept[i] being the old id of new vertex i.
 
-        New ids follow ascending old id, so relabeling is deterministic. A
-        selection of every vertex returns this graph itself and the identity map.
+        A selection of every vertex returns this graph itself.
         """
-        vs = _vertex_subset(self.n, vertices)
-        if len(vs) == self.n:  # vs is range(n): the relabeling is the identity
-            return self, {v: v for v in vs}
-        old_to_new = {v: i for i, v in enumerate(vs)}
+        kept = _vertex_subset(self.n, vertices)
+        if len(kept) == self.n:  # kept is range(n): the relabeling is the identity
+            return self, kept
+        old_to_new = {v: i for i, v in enumerate(kept)}
         adjacency = tuple(
-            tuple(old_to_new[w] for w in self.adjacency[v] if w in old_to_new) for v in vs
+            tuple(old_to_new[w] for w in self.adjacency[v] if w in old_to_new) for v in kept
         )
-        return Graph(adjacency), old_to_new
+        return Graph(adjacency), kept
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         vs = _vertex_subset(self.n, vertices)

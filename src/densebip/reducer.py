@@ -174,8 +174,9 @@ def d_core(g: Graph, d: int) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if alive[v])
 
 
-def minimal_min_degree_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
-    """Inclusion-minimal induced subgraph of min degree >= d, plus the id map.
+def minimal_min_degree_subgraph(g: Graph, d: int) -> tuple[Graph, tuple[int, ...]]:
+    """Inclusion-minimal induced subgraph of min degree >= d, plus its kept ids
+    as `Graph.induced_subgraph` returns them.
 
     Starting from the d-core, one pass visits the vertices in ascending id
     and tentatively deletes each live one, peeling what drops below degree
@@ -361,7 +362,8 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
     return og
 
 
-def reduce_and_order(g: Graph, d: int) -> tuple[OrderedGraph, dict[int, int]]:
-    """Full reduction pipeline; returns the ordered core plus original->core id map."""
-    sub, mapping = minimal_min_degree_subgraph(g, d)
-    return build_ordered(sub, d), mapping
+def reduce_and_order(g: Graph, d: int) -> tuple[OrderedGraph, tuple[int, ...]]:
+    """Full reduction pipeline: (ordered core, kept), where kept[v] is the id in
+    `g` of core vertex v."""
+    sub, kept = minimal_min_degree_subgraph(g, d)
+    return build_ordered(sub, d), kept

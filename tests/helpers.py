@@ -84,16 +84,18 @@ def pairset_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(adjacency)
 
 
-def reference_induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+def reference_induced_subgraph(
+    g: Graph, vertices: Iterable[int]
+) -> tuple[Graph, tuple[int, ...]]:
     """Reference for `Graph.induced_subgraph`: always relabel and rebuild."""
-    vs = sorted(set(vertices))
-    if vs and (vs[0] < 0 or vs[-1] >= g.n):
+    kept = tuple(sorted(set(vertices)))
+    if kept and (kept[0] < 0 or kept[-1] >= g.n):
         raise GraphError(f"vertex id out of range 0..{g.n - 1}")
-    old_to_new = {v: i for i, v in enumerate(vs)}
+    old_to_new = {v: i for i, v in enumerate(kept)}
     adjacency = tuple(
-        tuple(old_to_new[w] for w in g.adjacency[v] if w in old_to_new) for v in vs
+        tuple(old_to_new[w] for w in g.adjacency[v] if w in old_to_new) for v in kept
     )
-    return Graph(adjacency), old_to_new
+    return Graph(adjacency), kept
 
 
 def reference_load_graph(path: str | Path) -> Graph:
@@ -137,8 +139,8 @@ def planted_shell(n: int, block: int, shell_edges: int, seed: int) -> Graph:
 def _reference_reduced_input(path, d: int, guarantee: bool):
     g = load_graph(path)
     params = derive_params(d, guarantee)
-    og, mapping = reduce_and_order(g, d)
-    return g, params, og, {new: old for old, new in mapping.items()}
+    og, kept = reduce_and_order(g, d)
+    return g, params, og, kept
 
 
 def _stdout(payload: dict) -> str:
@@ -148,7 +150,7 @@ def _stdout(payload: dict) -> str:
 def reference_extract_stdout(path, d: int, seed: int, guarantee: bool = True) -> tuple[int, str]:
     """Reference for `extract --json`: (exit code, stdout) with the whole input
     built by `load_graph`, reduced, and the pair reported on input ids."""
-    g, params, og, inverse = _reference_reduced_input(path, d, guarantee)
+    g, params, og, kept = _reference_reduced_input(path, d, guarantee)
     try:
         result = extract(og, params, seed)
     except ExtractionError as exc:
@@ -159,8 +161,8 @@ def reference_extract_stdout(path, d: int, seed: int, guarantee: bool = True) ->
             "seed": seed,
             "params": _params_payload(params),
         })
-    side_i = sorted(inverse[v] for v in result.I)
-    side_j = sorted(inverse[v] for v in result.J)
+    side_i = sorted(kept[v] for v in result.report.I)
+    side_j = sorted(kept[v] for v in result.report.J)
     report = bipartite_pair_report(g, side_i, side_j)
     payload = {
         "input_sha256": canonical_sha256(g),
@@ -403,7 +405,7 @@ def _peeled(g: Graph, alive: list[bool], d: int) -> list[bool]:
             alive[v] = False
 
 
-def restart_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
+def restart_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, tuple[int, ...]]:
     """Reference for `minimal_min_degree_subgraph`: the restart-after-commit scan.
 
     Every tentative deletion recomputes the core of the remainder from scratch,
@@ -428,7 +430,7 @@ def restart_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
     return g.induced_subgraph([v for v in range(g.n) if alive[v]])
 
 
-def full_peel_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, dict[int, int]]:
+def full_peel_minimal_subgraph(g: Graph, d: int) -> tuple[Graph, tuple[int, ...]]:
     """Reference for `minimal_min_degree_subgraph`: the single-pass scan in which
     every tentative deletion peels to the end before it is kept or undone."""
     core = d_core(g, d)

@@ -59,16 +59,16 @@ def test_criterion_02_end_to_end_guarantee_run():
     og, _ = reduce_and_order(g, 200)
     result = extract(og, params, seed=7, max_retries=1000)
     rep = result.report
-    survivors = set(result.I)
+    survivors = set(rep.I)
     ok = (
         params.ell == 3
         and params.threshold == 1
         and rep.valid
-        and survivors.isdisjoint(result.J)
-        and og.graph.is_independent(result.I)
-        and og.graph.is_independent(result.J)
-        and all(survivors & set(og.graph.adjacency[v]) for v in result.J)
-        and len(result.I) <= 230 * len(result.J)
+        and survivors.isdisjoint(rep.J)
+        and og.graph.is_independent(rep.I)
+        and og.graph.is_independent(rep.J)
+        and all(survivors & set(og.graph.adjacency[v]) for v in rep.J)
+        and len(rep.I) <= 230 * len(rep.J)
         and rep.average_degree >= Fraction(3, 2310)
     )
     elapsed = time.perf_counter() - start
@@ -90,16 +90,15 @@ def test_criterion_03_oracle_dominance():
             continue
         collected += 1
         try:
-            og, mapping = reduce_and_order(g, 2)
+            og, kept = reduce_and_order(g, 2)
             result = extract(og, params, seed=11, max_retries=300)
         except ExtractionError:
             continue
         successes += 1
-        inverse = {local: orig for orig, local in mapping.items()}
         rep = bipartite_pair_report(
             g,
-            [inverse[v] for v in result.I],
-            [inverse[v] for v in result.J],
+            [kept[v] for v in result.report.I],
+            [kept[v] for v in result.report.J],
         )
         assert rep.valid
         if rep.average_degree <= max_induced_bipartite_average_degree(g).best_value:

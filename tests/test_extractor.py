@@ -17,7 +17,6 @@ from densebip.extractor import (
     greedy_independent_set,
     hit_layer,
     left_minimal_members,
-    potential,
     potential_value,
     sample_trial,
     supported_members,
@@ -170,7 +169,9 @@ class TestSampleTrial:
             for y in out.supported:
                 assert len(survivors & set(g.adjacency[y])) >= params.threshold
             assert out.layer_edges == edges_within(g, out.layer)
-            assert potential(out, params) == out.potential
+            assert potential_value(
+                len(out.supported), out.layer_edges, len(out.sampled), params
+            ) == out.potential
 
     def test_mean_sample_size_matches_rate(self):
         og, _ = reduce_and_order(complete_bipartite(64, 64), 64)
@@ -333,12 +334,12 @@ class TestExtract:
         g = og.graph
         report = result.report
         assert report.valid
-        assert set(result.I).isdisjoint(result.J)
-        assert g.is_independent(result.I) and g.is_independent(result.J)
-        survivors = set(result.I)
-        for v in result.J:
+        assert set(report.I).isdisjoint(report.J)
+        assert g.is_independent(report.I) and g.is_independent(report.J)
+        survivors = set(report.I)
+        for v in report.J:
             assert len(survivors & set(g.adjacency[v])) >= params.threshold
-        assert len(result.I) <= 230 * len(result.J)
+        assert len(report.I) <= 230 * len(report.J)
         assert report.average_degree >= Fraction(params.ell, 2310)
 
     def test_accepted_trial_inequality_chain(self):
@@ -354,27 +355,27 @@ class TestExtract:
         assert Fraction(out.layer_edges) <= 10 * q * d * n_supported
         assert Fraction(n_supported) >= q * len(out.sampled) / (10 * p)
         # each J vertex certifies its threshold, so cross edges add up
-        assert result.report.cross_edges >= params.threshold * len(result.J)
+        assert result.report.cross_edges >= params.threshold * len(result.report.J)
         # greedy floor inside the partner pool, which J never leaves
         pool = sorted(set(out.supported) - set(out.survivors))
-        assert set(result.J) <= set(pool)
-        assert result.I == out.survivors
+        assert set(result.report.J) <= set(pool)
+        assert result.report.I == out.survivors
         sub, _ = og.graph.induced_subgraph(pool)
-        assert len(result.J) >= Fraction(sub.n) / (sub.average_degree() + 1)
+        assert len(result.report.J) >= Fraction(sub.n) / (sub.average_degree() + 1)
 
     def test_partner_side_is_the_greedy_set_of_the_pool(self):
-        # the pool's greedy set, mapped back to core ids through an explicit inverse
+        # the pool's greedy set, mapped back to core ids through the kept ids
         for g, d in ((c5_blowup(16), 32), (random_bipartite(60, 60, 0.5, 1), 16)):
             og, _ = reduce_and_order(g, d)
             params = derive_params(d, True)
             result = extract(og, params, seed=5, max_retries=2000)
             out = sample_trial(og, params, stream(5, result.trials_used - 1))
             pool = sorted(set(out.supported) - set(out.survivors))
-            sub, old_to_new = og.graph.induced_subgraph(pool)
-            new_to_old = {i: v for v, i in old_to_new.items()}
-            expected = tuple(sorted(new_to_old[i] for i in greedy_independent_set(sub)))
+            sub, kept = og.graph.induced_subgraph(pool)
+            assert kept == tuple(pool)
+            expected = tuple(sorted(kept[i] for i in greedy_independent_set(sub)))
             assert len(expected) >= 2
-            assert result.J == expected
+            assert result.report.J == expected
 
     def test_meets_floor_is_the_report_verdict(self, monkeypatch):
         runs = [(complete_bipartite(k, k), k) for k in (16, 24, 32, 48)] + [(c5_blowup(16), 32)]

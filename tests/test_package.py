@@ -61,11 +61,8 @@ RECORDS = {
     ),
     "ExtractionResult": (
         ExtractionResult,
-        ["I", "J", "report", "trials_used", "seed", "params", "meets_floor"],
-        lambda: (
-            (0,), (1,), BipartitePairReport((0,), (1,), 1, Fraction(1), True, None), 3, 7,
-            Params(16, 2, Fraction(1, 16), Fraction(3, 16), 1, True), None,
-        ),
+        ["report", "trials_used", "meets_floor"],
+        lambda: (BipartitePairReport((0,), (1,), 1, Fraction(1), True, None), 3, None),
     ),
     "Estimate": (
         Estimate, ["mean", "trials", "ci_low", "ci_high", "target", "passed"],
