@@ -9,9 +9,14 @@ A trial is accepted when the potential
 
     |supported| - layer_edges/(10 q d) - q |sampled| d / 10
 
-is strictly positive (all arithmetic exact rationals); a positive potential
-certifies the supported set is large yet sparse, so a greedy independent set
-inside it yields the second side J with the promised size and degree bounds.
+is strictly positive; a positive potential certifies the supported set is
+large yet sparse, so a greedy independent set inside it yields the second side
+J with the promised size and degree bounds. With q = a/b the three terms share
+the positive denominator 10abd, so acceptance is the sign of an integer
+numerator, and the potential's float is num / den, which Python rounds
+correctly. `stats` and the trial loop of `extract` draw every trial through a
+counts-only kernel that returns just that numerator; a `SampleOutcome`, with
+its sets and the exact Fraction, is built only for the trial `extract` accepts.
 
 The survivors, the layer, its edge count and the support counts are computed
 on Python-int bitmasks over the core's vertex ids: the ordered graph derives
@@ -173,16 +178,23 @@ class SampleOutcome(
     __slots__ = ()
 
 
-def potential_value(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> Fraction:
-    """|supported| - layer_edges/(10 q d) - q |sampled| d/10, exactly.
-
-    With q = a/b the three terms share the denominator 10abd, so the value is
-    built as one Fraction from integers.
-    """
+def _potential_numerator(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> int:
+    """The potential times `_potential_denominator(params)`: with q = a/b, the
+    three terms over the shared denominator 10abd, as one integer."""
     a, b, d = params.q.numerator, params.q.denominator, params.d
-    abd = a * b * d
+    return 10 * a * b * d * n_supported - b * b * layer_edges - a * a * d * d * n_sampled
+
+
+def _potential_denominator(params: Params) -> int:
+    """10abd, with q = a/b: positive, so a potential has its numerator's sign."""
+    return 10 * params.q.numerator * params.q.denominator * params.d
+
+
+def potential_value(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> Fraction:
+    """|supported| - layer_edges/(10 q d) - q |sampled| d/10, exactly."""
     return Fraction(
-        10 * abd * n_supported - b * b * layer_edges - a * a * d * d * n_sampled, 10 * abd
+        _potential_numerator(n_supported, layer_edges, n_sampled, params),
+        _potential_denominator(params),
     )
 
 
@@ -208,18 +220,17 @@ def left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
     return [x for x in sampled if not left[x] & sampled_mask]
 
 
-def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
-    """(layer, layer_edges): the vertices whose candidate set holds exactly ell
-    sampled vertices, ascending, and the number of edges among them.
+def _layer_mask(og: OrderedGraph, sampled, ell: int) -> int:
+    """The mask of the vertices whose candidate set holds exactly ell sampled
+    vertices.
 
     The hit counts live in a bit-sliced counter: levels[i] holds bit i of
     every vertex's count, and each sampled x adds its holder mask with a
-    ripple carry. The layer mask selects the vertices whose levels spell ell;
-    each layer vertex's neighbor mask, cut by it, counts its layer edges.
+    ripple carry. The layer mask selects the vertices whose levels spell ell.
     Each int here is at most n/8 bytes, and so is each cached mask.
     """
     if len(sampled) < ell:
-        return [], 0  # no candidate set can be hit ell times
+        return 0  # no candidate set can be hit ell times
     holders = og.holder_masks
     levels: list[int] = []
     for x in sampled:
@@ -233,24 +244,59 @@ def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
             if carry:
                 levels.append(carry)
     if ell >> len(levels):
-        return [], 0  # every count is below 2**len(levels) <= ell
+        return 0  # every count is below 2**len(levels) <= ell
     layer_mask = (1 << og.graph.n) - 1
     for i, level in enumerate(levels):
         layer_mask &= level if ell >> i & 1 else ~level
+    return layer_mask
+
+
+def _edges_within(og: OrderedGraph, members, mask: int) -> int:
+    """The number of edges among `members`, whose mask is `mask`: each
+    member's neighbor mask, cut by it, counts that member's edges inside."""
+    # map chains run the loop in C; a generator costs about twice as much here
+    cut = map(mask.__and__, map(og.neighbor_masks.__getitem__, members))
+    return sum(map(int.bit_count, cut)) // 2
+
+
+def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
+    """(layer, layer_edges): the vertices whose candidate set holds exactly ell
+    sampled vertices, ascending, and the number of edges among them."""
+    layer_mask = _layer_mask(og, sampled, ell)
     layer = mask_members(layer_mask)
+    return layer, _edges_within(og, layer, layer_mask)
+
+
+def _supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int) -> int:
+    """The mask of the vertices of `layer_mask` with at least `threshold`
+    neighbors in `survivors`.
+
+    At threshold 1 a vertex is supported when it lies in the union of the
+    survivors' neighbor masks, so one OR per survivor replaces a count per
+    layer vertex. Any other threshold cuts each layer vertex's neighbor mask
+    by the survivors' mask and counts the bits.
+    """
     nbrs = og.neighbor_masks
-    return layer, sum((nbrs[v] & layer_mask).bit_count() for v in layer) // 2
+    if threshold == 1:
+        reach = 0
+        for w in survivors:
+            reach |= nbrs[w]
+        return reach & layer_mask
+    survivor_mask = bitmask(survivors)
+    return bitmask(
+        y for y in mask_members(layer_mask) if (nbrs[y] & survivor_mask).bit_count() >= threshold
+    )
 
 
 def supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> list[int]:
-    """The members of `layer` with at least `threshold` neighbors in `survivors`.
+    """The members of `layer` with at least `threshold` neighbors in `survivors`,
+    in the given order.
 
-    One bitmask of the survivors is cut by each member's neighbor mask; both
-    take at most n/8 bytes, and a neighbor mask stays cached once built.
+    Each mask involved takes at most n/8 bytes, and a neighbor mask stays
+    cached once built.
     """
-    survivor_mask = bitmask(survivors)
-    nbrs = og.neighbor_masks
-    return [y for y in layer if (nbrs[y] & survivor_mask).bit_count() >= threshold]
+    supported = _supported_mask(og, survivors, bitmask(layer), threshold)
+    return [y for y in layer if supported >> y & 1]
 
 
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
@@ -271,6 +317,26 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi
     )
+
+
+def _trial_numerator(og: OrderedGraph, params: Params, rng) -> int:
+    """The numerator of `sample_trial(og, params, rng).potential` over
+    `_potential_denominator(params)`, unreduced, and `rng` left in the same
+    state; the caller checks that `og` and `params` are compatible.
+
+    It draws the same sample but keeps only counts: an empty layer ends the
+    trial before the survivors are found, the layer edges are counted from
+    the layer mask, and the support count is one bit count of a mask. No
+    tuple, record or Fraction is built.
+    """
+    sampled = sampled_members(rng, range(og.graph.n), params.d)
+    layer_mask = _layer_mask(og, sampled, params.ell)
+    if not layer_mask:
+        return _potential_numerator(0, 0, len(sampled), params)
+    layer_edges = _edges_within(og, mask_members(layer_mask), layer_mask)
+    survivors = left_minimal_members(og, sampled)
+    supported = _supported_mask(og, survivors, layer_mask, params.threshold)
+    return _potential_numerator(supported.bit_count(), layer_edges, len(sampled), params)
 
 
 def greedy_independent_set(g: Graph) -> tuple[int, ...]:
@@ -324,8 +390,10 @@ def extract(
     Trial i draws only from stream(seed, i) and the smallest index with
     positive potential wins. Trials run in index order in the calling
     process, with no pool: one costs more than the few trials an accepted
-    run draws. The pair is verified once, on the ordered graph's vertex ids,
-    and that report is the result's `report`. Raises ExtractionError when
+    run draws. The counts-only kernel judges each trial, and `sample_trial`
+    redraws only the accepted index, from the same stream, for its sets.
+    The pair is verified once, on the ordered graph's vertex ids, and that
+    report is the result's `report`. Raises ExtractionError when
     retries run out, the accepted trial cannot produce a nonempty adjacent
     pair, or it breaks the 230x ratio. In guarantee mode it first raises
     ParamsError when the core has a triangle: the proof of the floor uses
@@ -338,18 +406,15 @@ def extract(
         raise ParamsError(
             "guarantee mode needs a triangle-free input, but the reduced core has a triangle"
         )
-    accepted_index = -1
-    outcome: SampleOutcome | None = None
-    for index in range(max_retries):
-        out = sample_trial(og, params, stream(seed, index))
-        if out.potential > 0:
-            accepted_index, outcome = index, out
-            break
-    if outcome is None:
+    accepted_index = next(
+        (i for i in range(max_retries) if _trial_numerator(og, params, stream(seed, i)) > 0), -1
+    )
+    if accepted_index < 0:
         raise ExtractionError(
             f"no trial with positive potential in {max_retries} attempts",
             {"max_retries": max_retries, "seed": seed},
         )
+    outcome = sample_trial(og, params, stream(seed, accepted_index))
     diagnostics = {
         "trial_index": accepted_index,
         "sampled": len(outcome.sampled),

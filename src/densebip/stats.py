@@ -24,13 +24,14 @@ from .extractor import (
     GUARANTEE_MIN_DEGREE,
     Q_OVER_P_FLOOR,
     Params,
+    _potential_denominator,
+    _trial_numerator,
     derive_params,
     exact_q,
     hit_layer,
     left_minimal_members,
     require_compatible,
     require_vertex,
-    sample_trial,
     supported_members,
     survival_probability,
     target_hit_count,
@@ -339,9 +340,9 @@ def mc_edge_identity(
     return Estimate(mu, trials, low, high, target, low <= target <= high)
 
 
-def _potential_worker(args, index: int):
+def _potential_worker(args, index: int) -> int:
     og, params, seed = args
-    return sample_trial(og, params, stream(seed, index)).potential
+    return _trial_numerator(og, params, stream(seed, index))
 
 
 def mc_potential(
@@ -350,13 +351,17 @@ def mc_potential(
     """(Estimate of the mean potential, fraction of trials with potential > 0).
 
     The acceptance argument needs a strictly positive mean, so the estimate
-    passes when the interval is clear of zero.
+    passes when the interval is clear of zero. Each trial yields the integer
+    numerator of its potential over the positive denominator 10abd (q = a/b):
+    its sign decides success, and num / den, a correctly rounded int
+    division, is the potential's nearest float.
     """
     _require_trials(trials)
     require_compatible(og, params)
-    potentials = list(iter_indexed(_potential_worker, (og, params, seed), trials, workers))
-    successes = sum(1 for v in potentials if v > 0)
-    mu, low, high = mean_interval([float(v) for v in potentials])
+    den = _potential_denominator(params)
+    numerators = list(iter_indexed(_potential_worker, (og, params, seed), trials, workers))
+    successes = sum(1 for num in numerators if num > 0)
+    mu, low, high = mean_interval([num / den for num in numerators])
     estimate = Estimate(mu, trials, low, high, 0.0, low > 0.0)
     return estimate, successes / trials
 

@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-# stale: the extractor runs no pool; densebip.stats.iter_indexed records the span
-STALE_TARGETS = {"densebip.extractor.iter_indexed"}
+# stale: the extractor runs no pool, and densebip.stats.iter_indexed records
+# the span; stats draws its trials through the extractor's counts-only kernel,
+# and densebip.extractor.sample_trial records the accepted trials of `extract`
+STALE_TARGETS = {"densebip.extractor.iter_indexed", "densebip.stats.sample_trial"}
 
 
 def _import_spans(monkeypatch):

@@ -430,6 +430,22 @@ def test_frozen_stdout_sparse_core(command, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SPARSE_CORE_STDOUT[command]
 
 
+# sha256 of `stats potential --trials 5000 --seed 3` at the shape of the
+# mc-potential benchmark, c5_blowup(60) at d=120, taken before trials were
+# evaluated by the counts-only kernel: about a quarter of its layers are
+# nonempty, and the floats come from integer numerators
+FROZEN_MC_POTENTIAL_STDOUT = "e7e47f64adc1ec3e613ac7851f97fcba0bc8fc58a04018d15849ea2f43100284"
+
+
+def test_frozen_stdout_at_the_mc_potential_shape(tmp_path, capsys):
+    path = str(tmp_path / "c5_60.el")
+    assert main(["gen", "c5-blowup", "60", "--out", path]) == 0
+    code, out, _ = run(capsys, "stats", "potential", "--in", path, "--d", "120", "--guarantee",
+                       "--trials", "5000", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_MC_POTENTIAL_STDOUT
+
+
 class TestVerify:
     def test_valid_pair(self, c5_file, capsys):
         code, out, _ = run(capsys, "verify", "--in", c5_file, "--I", "0,2", "--J", "1,3")

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import densebip.extractor
 from densebip.extractor import (
     ExtractionError,
     Params,
     ParamsError,
+    _potential_denominator,
+    _trial_numerator,
     derive_params,
     exact_q,
     extract,
@@ -27,7 +30,7 @@ from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
 from densebip.reducer import EmptyCoreError, OrderedGraph, build_ordered, reduce_and_order
 from densebip.rng import stream
-from densebip.stats import wilson_interval
+from densebip.stats import Estimate, mc_potential, mean_interval, wilson_interval
 
 from helpers import (
     cycle_graph,
@@ -296,6 +299,69 @@ class TestTrialKernelOracle:
             assert clone.__dict__[name] == og.__dict__[name]
         for i in range(60):
             assert sample_trial(clone, params, stream(3, i)) == sample_trial(og, params, stream(3, i))
+
+
+@st.composite
+def ragged_trial_cores(draw):
+    """(ragged ordered graph, Params for its d): ell and the threshold are drawn,
+    and q is the pmf at ell, kept positive so the potential is defined."""
+    og = draw(ragged_cores())
+    d = og.d
+    ell = draw(st.integers(0 if d > 1 else 1, min(d, 4)))
+    threshold = draw(st.integers(0, 3))
+    return og, Params(d, ell, Fraction(1, d), Fraction(exact_q(d, ell)), threshold, False)
+
+
+class TestCountsKernel:
+    """`_trial_numerator` against the reference trial, on ordered cores from
+    bipartite and C5 blow-up graphs in both modes, and on ragged cores; each
+    core also runs at threshold 2, where support is counted per layer vertex."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**20))
+    def test_numerator_matches_reference_trial(self, core, seed, index):
+        og, params = core
+        for p in (params, params._replace(threshold=2)):
+            ours, theirs = stream(seed, index), stream(seed, index)
+            num, den = _trial_numerator(og, p, ours), _potential_denominator(p)
+            potential = reference_sample_trial(og, p, theirs).potential
+            assert Fraction(num, den) == potential
+            assert num / den == float(potential)
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+    @settings(max_examples=40)
+    @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.integers(0, 2**64 - 1),
+           st.integers(1, 20))
+    def test_mc_potential_matches_reference_loop(self, core, seed, trials):
+        og, params = core
+        potentials = [
+            reference_sample_trial(og, params, stream(seed, i)).potential for i in range(trials)
+        ]
+        mu, low, high = mean_interval([float(v) for v in potentials])
+        est, rate = mc_potential(og, params, trials, seed)
+        assert est == Estimate(mu, trials, low, high, 0.0, low > 0.0)
+        assert rate == sum(1 for v in potentials if v > 0) / trials
+
+    def test_no_record_for_a_rejected_trial(self, monkeypatch):
+        calls = {"sample_trial": 0, "SampleOutcome": 0}
+
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(densebip.extractor, name, counted)
+
+        spy("sample_trial", densebip.extractor.sample_trial)
+        spy("SampleOutcome", densebip.extractor.SampleOutcome)
+        og, _ = reduce_and_order(c5_blowup(16), 32)
+        params = derive_params(32, True)
+        _, rate = mc_potential(og, params, 200, seed=5)
+        assert 0 < rate < 1
+        assert calls == {"sample_trial": 0, "SampleOutcome": 0}
+        result = extract(og, params, seed=1, max_retries=2000)
+        assert result.trials_used > 1  # rejected trials came first
+        assert calls == {"sample_trial": 1, "SampleOutcome": 1}
 
 
 class TestGreedyIndependentSet:
