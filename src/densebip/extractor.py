@@ -272,12 +272,13 @@ def _supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int
     neighbors in `survivors`.
 
     At threshold 1 a vertex is supported when it lies in the union of the
-    survivors' neighbor masks, so one OR per survivor replaces a count per
-    layer vertex. Any other threshold cuts each layer vertex's neighbor mask
-    by the survivors' mask and counts the bits.
+    survivors' neighbor masks, so when the survivors are fewer than the layer
+    vertices one OR per survivor replaces a count per layer vertex. Otherwise
+    each layer vertex's neighbor mask is cut by the survivors' mask and its
+    bits are counted.
     """
     nbrs = og.neighbor_masks
-    if threshold == 1:
+    if threshold == 1 and len(survivors) < layer_mask.bit_count():
         reach = 0
         for w in survivors:
             reach |= nbrs[w]

@@ -32,6 +32,7 @@ from .extractor import (
     left_minimal_members,
     require_compatible,
     require_vertex,
+    sample_trial,  # not called here: bench/spans.py wraps it by this name
     supported_members,
     survival_probability,
     target_hit_count,

@@ -11,10 +11,8 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-# stale: the extractor runs no pool, and densebip.stats.iter_indexed records
-# the span; stats draws its trials through the extractor's counts-only kernel,
-# and densebip.extractor.sample_trial records the accepted trials of `extract`
-STALE_TARGETS = {"densebip.extractor.iter_indexed", "densebip.stats.sample_trial"}
+# stale: the extractor runs no pool; densebip.stats.iter_indexed records the span
+STALE_TARGETS = {"densebip.extractor.iter_indexed"}
 
 
 def _import_spans(monkeypatch):

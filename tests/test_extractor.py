@@ -230,14 +230,44 @@ def ordered_cores(draw):
     return og, params
 
 
+@st.composite
+def ragged_cores(draw):
+    """Ordered graphs on up to 70 vertices, so the masks span several int
+    digits, under a random order and d: the left lists and candidate sets are
+    ragged, and a vertex of degree below d keeps all its neighbors as
+    candidates."""
+    n = draw(st.integers(1, 70))
+    g = random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.6])), draw(st.integers(0, 2**16)))
+    return OrderedGraph(g, tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 5)))
+
+
+@st.composite
+def ragged_trial_cores(draw):
+    """(ragged ordered graph, Params for its d): ell and the threshold are drawn,
+    and q is the pmf at ell, kept positive so the potential is defined."""
+    og = draw(ragged_cores())
+    d = og.d
+    ell = draw(st.integers(0 if d > 1 else 1, min(d, 4)))
+    threshold = draw(st.integers(0, 3))
+    return og, Params(d, ell, Fraction(1, d), Fraction(exact_q(d, ell)), threshold, False)
+
+
 class TestSampleTrialOracle:
     @settings(max_examples=150)
-    @given(ordered_cores(), st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+    @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**20))
     def test_matches_reference_trial(self, core, seed, index):
+        """`sample_trial` and the counts-only `_trial_numerator` against the
+        reference trial: the same record, the exact potential and its float,
+        and each stream left in the same state."""
         og, params = core
-        ours, theirs = stream(seed, index), stream(seed, index)
-        assert sample_trial(og, params, ours) == reference_sample_trial(og, params, theirs)
-        assert ours.getstate() == theirs.getstate()
+        ours, counts, theirs = stream(seed, index), stream(seed, index), stream(seed, index)
+        expected = reference_sample_trial(og, params, theirs)
+        assert sample_trial(og, params, ours) == expected
+        num, den = _trial_numerator(og, params, counts), _potential_denominator(params)
+        assert Fraction(num, den) == expected.potential
+        assert num / den == float(expected.potential)
+        assert ours.getstate() == counts.getstate() == theirs.getstate()
 
     @given(
         st.integers(16, 10**6),
@@ -250,17 +280,6 @@ class TestSampleTrialOracle:
         assert potential_value(n_supported, layer_edges, n_sampled, params) == (
             reference_potential_value(n_supported, layer_edges, n_sampled, params)
         )
-
-
-@st.composite
-def ragged_cores(draw):
-    """Ordered graphs on up to 70 vertices, so the masks span several int
-    digits, under a random order and d: the left lists and candidate sets are
-    ragged, and a vertex of degree below d keeps all its neighbors as
-    candidates."""
-    n = draw(st.integers(1, 70))
-    g = random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.6])), draw(st.integers(0, 2**16)))
-    return OrderedGraph(g, tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 5)))
 
 
 def vertex_subset(data, n: int) -> list[int]:
@@ -301,34 +320,9 @@ class TestTrialKernelOracle:
             assert sample_trial(clone, params, stream(3, i)) == sample_trial(og, params, stream(3, i))
 
 
-@st.composite
-def ragged_trial_cores(draw):
-    """(ragged ordered graph, Params for its d): ell and the threshold are drawn,
-    and q is the pmf at ell, kept positive so the potential is defined."""
-    og = draw(ragged_cores())
-    d = og.d
-    ell = draw(st.integers(0 if d > 1 else 1, min(d, 4)))
-    threshold = draw(st.integers(0, 3))
-    return og, Params(d, ell, Fraction(1, d), Fraction(exact_q(d, ell)), threshold, False)
-
-
 class TestCountsKernel:
-    """`_trial_numerator` against the reference trial, on ordered cores from
-    bipartite and C5 blow-up graphs in both modes, and on ragged cores; each
-    core also runs at threshold 2, where support is counted per layer vertex."""
-
-    @settings(max_examples=150)
-    @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.integers(0, 2**64 - 1),
-           st.integers(0, 2**20))
-    def test_numerator_matches_reference_trial(self, core, seed, index):
-        og, params = core
-        for p in (params, params._replace(threshold=2)):
-            ours, theirs = stream(seed, index), stream(seed, index)
-            num, den = _trial_numerator(og, p, ours), _potential_denominator(p)
-            potential = reference_sample_trial(og, p, theirs).potential
-            assert Fraction(num, den) == potential
-            assert num / den == float(potential)
-            assert ours.getrandbits(64) == theirs.getrandbits(64)
+    """`stats` and `extract` judge trials by the counts-only kernel, which
+    `TestSampleTrialOracle` checks trial by trial."""
 
     @settings(max_examples=40)
     @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.integers(0, 2**64 - 1),
