@@ -14,9 +14,15 @@ large yet sparse, so a greedy independent set inside it yields the second side
 J with the promised size and degree bounds. With q = a/b the three terms share
 the positive denominator 10abd, so acceptance is the sign of an integer
 numerator, and the potential's float is num / den, which Python rounds
-correctly. `stats` and the trial loop of `extract` draw every trial through a
-counts-only kernel that returns just that numerator; a `SampleOutcome`, with
-its sets and the exact Fraction, is built only for the trial `extract` accepts.
+correctly.
+
+One evaluator turns a drawn sample into its layer mask, layer edge count and
+supported mask; an empty layer ends it before the survivors are found. The
+counts-only kernel, through which `stats` and the trial loop of `extract` draw
+every trial, returns just the numerator of those counts. `sample_trial` reads
+a `SampleOutcome`'s layer and supported sets off the same masks and adds the
+survivors and the exact Fraction; `extract` builds it only for the trial it
+accepts.
 
 The survivors, the layer, its edge count and the support counts are computed
 on Python-int bitmasks over the core's vertex ids: the ordered graph derives
@@ -251,20 +257,12 @@ def _layer_mask(og: OrderedGraph, sampled, ell: int) -> int:
     return layer_mask
 
 
-def _edges_within(og: OrderedGraph, members, mask: int) -> int:
-    """The number of edges among `members`, whose mask is `mask`: each
-    member's neighbor mask, cut by it, counts that member's edges inside."""
+def _edges_within(og: OrderedGraph, mask: int) -> int:
+    """The number of edges among the vertices of `mask`: each member's
+    neighbor mask, cut by it, counts that member's edges inside."""
     # map chains run the loop in C; a generator costs about twice as much here
-    cut = map(mask.__and__, map(og.neighbor_masks.__getitem__, members))
+    cut = map(mask.__and__, map(og.neighbor_masks.__getitem__, mask_members(mask)))
     return sum(map(int.bit_count, cut)) // 2
-
-
-def hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
-    """(layer, layer_edges): the vertices whose candidate set holds exactly ell
-    sampled vertices, ascending, and the number of edges among them."""
-    layer_mask = _layer_mask(og, sampled, ell)
-    layer = mask_members(layer_mask)
-    return layer, _edges_within(og, layer, layer_mask)
 
 
 def _supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int) -> int:
@@ -289,15 +287,20 @@ def _supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int
     )
 
 
-def supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> list[int]:
-    """The members of `layer` with at least `threshold` neighbors in `survivors`,
-    in the given order.
+def _evaluate_trial(og: OrderedGraph, params: Params, sampled) -> tuple[int, int, int]:
+    """(layer_mask, layer_edges, supported_mask) of the trial that drew the
+    ids `sampled`.
 
-    Each mask involved takes at most n/8 bytes, and a neighbor mask stays
-    cached once built.
+    An empty layer ends the trial with (0, 0, 0) before the survivors are
+    found; otherwise the supported mask is cut from the layer mask by the
+    left-minimal members of the sample.
     """
-    supported = _supported_mask(og, survivors, bitmask(layer), threshold)
-    return [y for y in layer if supported >> y & 1]
+    layer_mask = _layer_mask(og, sampled, params.ell)
+    if not layer_mask:
+        return 0, 0, 0
+    survivors = left_minimal_members(og, sampled)
+    supported_mask = _supported_mask(og, survivors, layer_mask, params.threshold)
+    return layer_mask, _edges_within(og, layer_mask), supported_mask
 
 
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
@@ -307,13 +310,14 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     Sampling goes through `sampled_members`, so the per-vertex probability is
     exactly 1/d and the stream is consumed as by one randrange(d) per vertex,
     though for d < 256 most of it is drawn as one getrandbits block of a word
-    per vertex.
+    per vertex. The record's layer and supported sets are read off the masks
+    of `_evaluate_trial`.
     """
     require_compatible(og, params)
     sampled = sampled_members(rng, range(og.graph.n), params.d)
+    layer_mask, layer_edges, supported_mask = _evaluate_trial(og, params, sampled)
     survivors = left_minimal_members(og, sampled)
-    layer, layer_edges = hit_layer(og, sampled, params.ell)
-    supported = supported_members(og, survivors, layer, params.threshold) if layer else []
+    layer, supported = mask_members(layer_mask), mask_members(supported_mask)
     phi = potential_value(len(supported), layer_edges, len(sampled), params)
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi
@@ -325,19 +329,13 @@ def _trial_numerator(og: OrderedGraph, params: Params, rng) -> int:
     `_potential_denominator(params)`, unreduced, and `rng` left in the same
     state; the caller checks that `og` and `params` are compatible.
 
-    It draws the same sample but keeps only counts: an empty layer ends the
-    trial before the survivors are found, the layer edges are counted from
-    the layer mask, and the support count is one bit count of a mask. No
-    tuple, record or Fraction is built.
+    It draws the same sample and evaluates it the same way, but keeps only
+    counts: the support count is one bit count of a mask, and no tuple,
+    record or Fraction is built.
     """
     sampled = sampled_members(rng, range(og.graph.n), params.d)
-    layer_mask = _layer_mask(og, sampled, params.ell)
-    if not layer_mask:
-        return _potential_numerator(0, 0, len(sampled), params)
-    layer_edges = _edges_within(og, mask_members(layer_mask), layer_mask)
-    survivors = left_minimal_members(og, sampled)
-    supported = _supported_mask(og, survivors, layer_mask, params.threshold)
-    return _potential_numerator(supported.bit_count(), layer_edges, len(sampled), params)
+    _, layer_edges, supported_mask = _evaluate_trial(og, params, sampled)
+    return _potential_numerator(supported_mask.bit_count(), layer_edges, len(sampled), params)
 
 
 def greedy_independent_set(g: Graph) -> tuple[int, ...]:
@@ -413,7 +411,7 @@ def extract(
     if accepted_index < 0:
         raise ExtractionError(
             f"no trial with positive potential in {max_retries} attempts",
-            {"max_retries": max_retries, "seed": seed},
+            {"max_retries": max_retries},
         )
     outcome = sample_trial(og, params, stream(seed, accepted_index))
     diagnostics = {
@@ -422,7 +420,6 @@ def extract(
         "survivors": len(outcome.survivors),
         "layer": len(outcome.layer),
         "supported": len(outcome.supported),
-        "seed": seed,
     }
     pool = set(outcome.supported) - set(outcome.survivors)
     if not pool:

@@ -24,16 +24,17 @@ from .extractor import (
     GUARANTEE_MIN_DEGREE,
     Q_OVER_P_FLOOR,
     Params,
+    _edges_within,
+    _layer_mask,
     _potential_denominator,
+    _supported_mask,
     _trial_numerator,
     derive_params,
     exact_q,
-    hit_layer,
     left_minimal_members,
     require_compatible,
     require_vertex,
     sample_trial,  # not called here: bench/spans.py wraps it by this name
-    supported_members,
     survival_probability,
     target_hit_count,
 )
@@ -205,7 +206,7 @@ def draw_conditional_trial(og: OrderedGraph, params: Params, y: int, rng) -> Con
 def _conditional_outcome(og: OrderedGraph, params: Params, trial: ConditionalTrial) -> tuple[bool, int]:
     survivor_set = set(left_minimal_members(og, trial.sampled))
     missing = sum(1 for x in trial.forced if x not in survivor_set)
-    return bool(supported_members(og, survivor_set, (trial.vertex,), params.threshold)), missing
+    return bool(_supported_mask(og, survivor_set, 1 << trial.vertex, params.threshold)), missing
 
 
 def _conditional_worker(args, index: int) -> tuple[bool, int]:
@@ -318,7 +319,7 @@ def mc_per_vertex_survival(
 def _edge_identity_worker(args, index: int) -> int:
     og, params, seed = args
     sampled = sampled_members(stream(seed, index), range(og.graph.n), params.d)
-    return hit_layer(og, sampled, params.ell)[1]
+    return _edges_within(og, _layer_mask(og, sampled, params.ell))
 
 
 def mc_edge_identity(

@@ -497,9 +497,9 @@ def reference_holder_masks(g: Graph, d: int) -> list[int]:
 
 
 def reference_hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int], int]:
-    """Reference for `hit_layer`: count each vertex's sampled candidates in a
-    list, read the layer off a scan of every vertex, and count its edges over
-    the edge list."""
+    """Reference for the layer, `_layer_mask`'s members, and its edge count,
+    `_edges_within`: count each vertex's sampled candidates in a list, read the
+    layer off a scan of every vertex, and count its edges over the edge list."""
     n = og.graph.n
     membership = bytearray(n)
     for x in sampled:
@@ -514,8 +514,8 @@ def reference_hit_layer(og: OrderedGraph, sampled, ell: int) -> tuple[list[int],
 
 
 def reference_supported_members(og: OrderedGraph, survivors, layer, threshold: int) -> list[int]:
-    """Reference for `supported_members`: a list of support counts filled from
-    the survivors' adjacency lists."""
+    """Reference for the members of `_supported_mask`: a list of support counts
+    filled from the survivors' adjacency lists."""
     support = [0] * og.graph.n
     for s in survivors:
         for w in og.graph.adjacency[s]:

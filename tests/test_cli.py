@@ -167,11 +167,9 @@ class TestExtract:
         assert set(payload) == {"diagnostics", "error", "input_sha256", "params", "seed"}
         assert payload["error"] == "survivor side exceeds 0x the partner side"
         diagnostics = payload["diagnostics"]
-        assert set(diagnostics) == {
-            "layer", "sampled", "seed", "supported", "survivors", "trial_index",
-        }
+        assert set(diagnostics) == {"layer", "sampled", "supported", "survivors", "trial_index"}
         # the pair of the unpatched run: trial 0, |I| = 1 against |J| = 16
-        assert diagnostics["trial_index"] == 0 and diagnostics["seed"] == 0
+        assert diagnostics["trial_index"] == 0 and payload["seed"] == 0
         assert diagnostics["survivors"] == 1 and diagnostics["supported"] >= 16
 
     def test_reported_ids_follow_the_original_graph(self, tmp_path, capsys):
@@ -386,8 +384,11 @@ def test_frozen_stdout(command, k16_file, capsys):
 
 
 # sha256 of stdout on c5_blowup(12) at d=24, --guarantee --seed 7: a core that
-# is triangle-free but not bipartite, so its layers have edges
+# is triangle-free but not bipartite, so its layers have edges; it fits the
+# mask predicate, so `conditional` runs on masks filled up front
 FROZEN_C5_STDOUT = {
+    ("stats", "conditional", "--trials", "300"):
+        "314aefc32a518a38e9010429907b87aa7bb64632c5c007719787d4a1496bfc12",
     ("stats", "potential", "--trials", "300"):
         "8bb69b1d06d203d6ac1d81ac5a9cb037afe000550a0a50f8f2e8bbb8cc277dc6",
     ("stats", "edge-identity", "--trials", "300"):
@@ -407,12 +408,17 @@ def test_frozen_stdout_c5_blowup(command, tmp_path, capsys):
 # sha256 of stdout on random_bipartite(1000, 1000, 0.008, seed 5) at d=5,
 # --seed 7, taken before the bit-sliced ordering: its 730-vertex core fails the
 # mask predicate (12 words against average degree 5.8), so it takes the heap
-# ordering and lazily built masks
+# ordering and lazily built masks. The conditional and edge-identity entries
+# were taken later, before the trial evaluation was folded into one function.
 FROZEN_SPARSE_CORE_STDOUT = {
     ("extract",):
         "4a5b569ee0108434976eba76240d29b4478f1115ac8e8c530a71c8bbe60e4f97",
     ("extract", "--json"):
         "4a5b569ee0108434976eba76240d29b4478f1115ac8e8c530a71c8bbe60e4f97",
+    ("stats", "conditional", "--trials", "200"):
+        "ec7ad2bb104ff1fcb2033ef9cb8da7fdeafe81181b1287ce29ccc93a1711908b",
+    ("stats", "edge-identity", "--trials", "200"):
+        "9f01aed10796c194e7c95c47845d7bede996d819a4253ad908d183c792fca8ce",
     ("stats", "potential", "--trials", "200"):
         "4aac65a72b42aac308da25797c9bc1275bb41efda867343a9ca4f7a06ec78539",
     ("stats", "survival", "--trials", "200"):

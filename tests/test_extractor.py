@@ -12,23 +12,31 @@ from densebip.extractor import (
     ExtractionError,
     Params,
     ParamsError,
+    _edges_within,
+    _layer_mask,
     _potential_denominator,
+    _supported_mask,
     _trial_numerator,
     derive_params,
     exact_q,
     extract,
     greedy_independent_set,
-    hit_layer,
     left_minimal_members,
     potential_value,
     sample_trial,
-    supported_members,
     survival_probability,
     target_hit_count,
 )
 from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
-from densebip.reducer import EmptyCoreError, OrderedGraph, build_ordered, reduce_and_order
+from densebip.reducer import (
+    EmptyCoreError,
+    OrderedGraph,
+    bitmask,
+    build_ordered,
+    mask_members,
+    reduce_and_order,
+)
 from densebip.rng import stream
 from densebip.stats import Estimate, mc_potential, mean_interval, wilson_interval
 
@@ -291,13 +299,16 @@ class TestTrialKernelOracle:
     @given(ragged_cores(), st.integers(0, 4), st.data())
     def test_hit_layer_matches_list_counts(self, og, ell, data):
         sampled = vertex_subset(data, og.graph.n)
-        assert hit_layer(og, sampled, ell) == reference_hit_layer(og, sampled, ell)
+        layer_mask = _layer_mask(og, sampled, ell)
+        assert (mask_members(layer_mask), _edges_within(og, layer_mask)) == (
+            reference_hit_layer(og, sampled, ell)
+        )
 
     @given(ragged_cores(), st.integers(0, 3), st.data())
     def test_supported_members_matches_list_counts(self, og, threshold, data):
         survivors = vertex_subset(data, og.graph.n)
         layer = vertex_subset(data, og.graph.n)
-        assert supported_members(og, survivors, layer, threshold) == (
+        assert mask_members(_supported_mask(og, survivors, bitmask(layer), threshold)) == (
             reference_supported_members(og, survivors, layer, threshold)
         )
 
