@@ -656,6 +656,57 @@ class TestLoadCore:
         # about 40 bytes per edge; a Counter and a per-edge mask took about 82
         assert peak < 55 * g.m
 
+    def test_whole_graph_memory_per_edge(self, el_path):
+        g = complete_bipartite(300, 300)
+        save_graph(g, el_path)
+        tracemalloc.start()
+        try:
+            got, ids, _ = load_core(el_path, 300)  # 2m = d*n: built whole
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == g and ids == range(600)
+        # about 26 and 16 bytes per edge; an int object per edge end, with
+        # int64 arrays and the input bytes alive during the build, gives 94 and 53
+        assert peak < 48 * g.m
+        assert retained < 24 * g.m
+
+
+@st.composite
+def big_id_graphs(draw):
+    """A cycle through k >= 260 vertices plus a few drawn chords, on n > m
+    vertices: ids pass the 256 that CPython caches, and 2m < 2n."""
+    k = draw(st.integers(260, 300))
+    chords = draw(st.integers(0, 20))
+    n = k + chords + draw(st.integers(1, 20))
+    vertex = st.integers(0, n - 1)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                           max_size=chords))
+    return from_edge_list(n, edges)
+
+
+def _one_int_per_vertex(g):
+    """Whether all adjacency entries naming a vertex are one int object."""
+    ends = [w for nbrs in g.adjacency for w in nbrs]
+    return len(set(map(id, ends))) == len(set(ends))
+
+
+@settings(max_examples=30)
+@given(big_id_graphs(), st.data())
+def test_every_way_to_make_a_graph_shares_one_int_per_vertex(el_path, g, data):
+    made = [g, parse_edge_list(format_edge_list(g))]
+    save_graph(g, el_path)
+    whole, ids, _ = load_core(el_path, 0)
+    assert ids == range(g.n)
+    core, ids, _ = load_core(el_path, 2)  # 2m < d*n: the filter runs
+    assert len(ids) >= 260
+    drop = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=5))
+    sub, _ = g.induced_subgraph(set(range(g.n)) - drop)
+    made += [whole, core, sub]
+    for made_graph in made:
+        assert _one_int_per_vertex(made_graph)
+
 
 def _holds_its_facts(g):
     """n, m and the hash of `g` follow from its adjacency alone."""
@@ -715,8 +766,8 @@ class TestFilterRound:
     def test_rounds_match_reference(self, edges, d):
         n, us, vs = edges
         deg, high = [0] * n, range(n)
-        # the first round gets the loader's int64 arrays, later ones lists
-        got_us, got_vs = array("q", us), array("q", vs)
+        # the first round gets the loader's int32 arrays, later ones lists
+        got_us, got_vs = array("i", us), array("i", vs)
         while us:
             want = reference_filter_round(us, vs, d)
             degree = Counter(us + vs)
@@ -781,8 +832,8 @@ CHUNK_EDITS = {
 
 @pytest.fixture(scope="module")
 def shell_text():
-    # about 180 KB of edge lines: three chunks
-    return format_edge_list(planted_shell(16_000, 8, 17_000, seed=5))
+    # about 40 KB of edge lines: three chunks
+    return format_edge_list(planted_shell(4_000, 8, 4_250, seed=5))
 
 
 class TestChunkBoundaries:
