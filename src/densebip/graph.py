@@ -9,6 +9,7 @@ processes without synchronization.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
 from array import array
@@ -223,18 +224,28 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
+def _canonical_pieces(g: Graph) -> Iterator[str]:
+    """The canonical text of `g`, one vertex at a time: the header line,
+    then for each vertex u with a larger neighbour its lines "u v", v > u
+    ascending, so only one vertex's lines are held as text at a time."""
+    yield f"{g.n} {g.m}\n"
+    for u, nbrs in enumerate(g.adjacency):
+        above = nbrs[bisect_right(nbrs, u):]
+        if above:
+            yield f"{u} " + f"\n{u} ".join(map(str, above)) + "\n"
+
+
 def format_edge_list(g: Graph) -> str:
     """Serialize to the canonical on-disk form (edges sorted, u < v)."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(_canonical_pieces(g))
 
 
 # Once '-' is ruled out, JSON's integer grammar 0|[1-9][0-9]* is exactly the
 # canonical token grammar: leading zeros and empty tokens are JSON errors
 _COMMAS = bytes.maketrans(b" \n", b",,")
-# bytes of edge lines parsed at a time: a chunk ends at the first newline this
-# far past its start, so only one chunk's int objects are alive at a time
+# bytes of edge lines read and parsed at a time: a chunk ends at the first
+# newline this far past its start, so only one chunk's bytes and int objects
+# are alive at a time
 _CHUNK = 1 << 14
 
 
@@ -247,56 +258,65 @@ def _tokens(lines: bytes) -> list[int]:
     return json.loads(b"[" + lines.translate(_COMMAS) + b"]")
 
 
-def _canonical_edges(data: bytes) -> tuple[int, int, array, array] | None:
-    """(n, m, us, vs) when `data` is exactly the `format_edge_list` text of a
-    graph with at least one edge, whose edges are (us[i], vs[i]); None for any
-    other input.
+def _canonical_edges(f: io.BufferedIOBase, digest) -> tuple[int, int, array, array] | None:
+    """(n, m, us, vs) when the binary file `f` holds exactly the
+    `format_edge_list` text of a graph with at least one edge, whose edges
+    are (us[i], vs[i]); None for any other input. Every byte read from `f`
+    goes into `digest`, a hashlib object, so it is the file's sha256 when
+    (n, m, us, vs) is returned.
 
-    The layout is checked over the whole input in C. The edge lines are then
-    parsed and checked chunk by chunk, each chunk's numbers dropped once they
-    are in the int32 arrays: a chunk enters them only after its ids are
-    checked to be below n <= MAX_VERTICES < 2**31. A canonical input with
-    more than MAX_VERTICES vertices is a GraphError, raised before any edge
-    line is parsed.
+    The file is read once, in chunks: the header line, then edge lines up to
+    the first newline `_CHUNK` or more bytes past the chunk's start. Each
+    chunk has its layout checked in C, and its numbers are parsed and checked
+    and enter the int32 arrays only after its ids are checked to be below
+    n <= MAX_VERTICES < 2**31. Only one chunk's bytes and numbers are alive
+    at a time, so the arrays (8 bytes per edge) are all that grows. A file
+    whose header has more than MAX_VERTICES vertices is a GraphError when the
+    rest has the canonical layout and m lines, found without parsing any
+    edge line; otherwise it is None too.
     """
-    lines = data.count(b"\n")
-    # every line is digits, one space, digits, newline; without the endswith
-    # test, digits after the last newline would pass the translate test
-    if (lines < 2 or not data.endswith(b"\n")
-            or data.translate(None, b"0123456789") != b" \n" * lines):
+    head = f.readline(_CHUNK)
+    digest.update(head)
+    # every line is digits, one space, digits, newline; an empty token or a
+    # leading zero is left to the JSON grammar
+    if head.translate(None, b"0123456789") != b" \n":
         return None
-    head = data.index(b"\n")
     try:
-        n, m = _tokens(data[:head])
+        n, m = _tokens(head[:-1])
     except ValueError:  # a header token off the grammar
         return None
-    if m != lines - 1:
-        return None
-    # outside the try below: a GraphError is a ValueError
-    _check_vertex_count(n)
-    end = len(data) - 1  # the final newline
+    lines = 0
     us, vs = array("i"), array("i")
-    try:
-        last = -1  # key of the previous chunk's last edge
-        start = head + 1
-        while start < end:
-            stop = data.find(b"\n", start + _CHUNK)
-            if stop < 0:
-                stop = end
-            nums = _tokens(data[start:stop])
-            cu, cv = nums[::2], nums[1::2]
-            if max(cv) >= n or not all(map(lt, cu, cv)):
-                return None
-            # edges in strictly increasing (u, v) order: sorted and free of repeats
-            keys = [last, *map(add, map(mul, cu, repeat(n)), cv)]
-            if not all(map(lt, keys, keys[1:])):
-                return None
-            last = keys[-1]
-            us.fromlist(cu)
-            vs.fromlist(cv)
-            start = stop + 1
-    except ValueError:  # a token off the grammar
+    last = -1  # key of the previous chunk's last edge
+    while chunk := f.read(_CHUNK):
+        chunk += f.readline(_CHUNK)
+        digest.update(chunk)
+        k = chunk.count(b"\n")
+        # without the endswith test, digits after the last newline would pass
+        if not chunk.endswith(b"\n") or chunk.translate(None, b"0123456789") != b" \n" * k:
+            return None
+        lines += k
+        if lines > m:
+            return None
+        if n > MAX_VERTICES:
+            continue  # refused below if the rest has the canonical layout
+        try:
+            nums = _tokens(chunk[:-1])
+        except ValueError:  # a token off the grammar
+            return None
+        cu, cv = nums[::2], nums[1::2]
+        if max(cv) >= n or not all(map(lt, cu, cv)):
+            return None
+        # edges in strictly increasing (u, v) order: sorted and free of repeats
+        keys = [last, *map(add, map(mul, cu, repeat(n)), cv)]
+        if not all(map(lt, keys, keys[1:])):
+            return None
+        last = keys[-1]
+        us.fromlist(cu)
+        vs.fromlist(cv)
+    if lines != m or m == 0:
         return None
+    _check_vertex_count(n)
     return n, m, us, vs
 
 
@@ -374,25 +394,34 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     the round before kept, and finds each kept vertex's surviving edges by
     bisecting the sorted `us` array.
 
-    A canonical file's bytes are hashed as soon as its edge arrays are parsed
-    and released before the filter and the build, so they are never alive
-    beside the adjacency lists. The graph built whole from the file then
-    retains about 16 bytes per edge, its two tuple slots, and the load peaks
-    at about 26 bytes per edge under tracemalloc on K_{300,300} and
-    K_{1000,1000}: the int32 edge arrays (8 bytes per edge) and the lists
-    still being built.
+    A canonical file is read, hashed and parsed 16 KiB at a time and never
+    held whole: the filter's peak is the int32 edge arrays (8 bytes per
+    edge), the degree list and one chunk, about 13 bytes per edge under
+    tracemalloc on a planted shell of 100k edges. The graph built whole from
+    the file retains about 16 bytes per edge, its two tuple slots, and the
+    load peaks at about 26 bytes per edge on K_{300,300} and K_{1000,1000}:
+    the edge arrays and the lists still being built. A file that is not
+    canonical is read again, whole, for the line parser, and its bytes are
+    dropped once decoded. A pipe cannot be read twice, so it is read whole
+    before either path.
     """
-    data = Path(path).read_bytes()
-    edges = _canonical_edges(data)
+    sha256 = hashlib.sha256()
+    with Path(path).open("rb") as file:
+        # a pipe is read whole first, as the line parser may read it again
+        f = file if file.seekable() else io.BytesIO(file.read())
+        edges = _canonical_edges(f, sha256)
+        if edges is None:  # the line parser reads the file again, whole
+            f.seek(0)
+            data = f.read()
     if edges is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
+        del data
         g = parse_edge_list(text)
         return g, range(g.n), canonical_sha256(g)
-    digest = hashlib.sha256(data).hexdigest()
-    del data
+    digest = sha256.hexdigest()
     n, m, us, vs = edges
     if 2 * m >= d * n:
         return _sorted_edges_graph(n, us, vs), range(n), digest
@@ -417,12 +446,16 @@ def load_graph(path: str | Path) -> Graph:
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(g))
+    with Path(path).open("w") as f:
+        f.writelines(_canonical_pieces(g))
 
 
 def canonical_sha256(g: Graph) -> str:
     """Hash of the canonical serialization; stable across formatting variants."""
-    return hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _canonical_pieces(g):
+        digest.update(piece.encode("ascii"))
+    return digest.hexdigest()
 
 
 class BipartitePairReport(

@@ -1,5 +1,8 @@
 import hashlib
+import io
+import os
 import re
+import threading
 import tracemalloc
 from array import array
 from collections import Counter
@@ -324,6 +327,19 @@ class TestSerialization:
         b = parse_edge_list("# c\n3 2\n1 2\n0 1\n")
         assert canonical_sha256(a) == canonical_sha256(b)
 
+    def test_hash_memory_per_edge(self):
+        g = complete_bipartite(300, 300)
+        tracemalloc.start()
+        try:
+            digest = canonical_sha256(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == reference_canonical_sha256(g)
+        # one vertex's 300 lines at a time, about 0.3 bytes per edge; the
+        # whole canonical text and its encoded copy took about 80
+        assert peak < 4 * g.m
+
     @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "0x1"])
     def test_non_ascii_decimal_rejected(self, token):
         with pytest.raises(GraphError, match="bad header line"):
@@ -493,6 +509,25 @@ class TestLoadGraph:
         assert g == from_edge_list(3, [(0, 1), (1, 2)])
         assert canonical_sha256(g) == hashlib.sha256(b"3 2\n0 1\n1 2\n").hexdigest()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_named_pipe(self, tmp_path, crlf):
+        # a pipe cannot be read twice: the line parser needs a copy of it
+        g = complete_bipartite(3, 3)
+        raw = format_edge_list(g).encode()
+        if crlf:
+            raw = b"# c\r\n" + raw.replace(b"\n", b"\r\n")
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        try:
+            got, ids, digest = load_core(fifo, 0)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (got, ids, digest) == (g, range(6), reference_canonical_sha256(g))
+
     def test_invalid_utf8_is_a_graph_error(self, el_path):
         el_path.write_bytes(b"3 1\n0 1 # \xff\n")
         with pytest.raises(GraphError, match="not UTF-8"):
@@ -500,6 +535,8 @@ class TestLoadGraph:
 
 
 HUGE_HEADER = b"100000000000 1\n0 1\n"
+# canonical in layout but for its edge count, so the line parser's error stands
+HUGE_HEADER_WRONG_M = b"100000000000 2\n0 1\n"
 
 
 class TestVertexLimit:
@@ -513,11 +550,18 @@ class TestVertexLimit:
             parse_edge_list(HUGE_HEADER.decode())
 
     @pytest.mark.parametrize("load", [load_graph, lambda path: load_core(path, 2)])
-    @pytest.mark.parametrize("raw", [HUGE_HEADER, HUGE_HEADER.replace(b"\n", b"\r\n")])
+    @pytest.mark.parametrize("raw", [HUGE_HEADER, HUGE_HEADER.replace(b"\n", b"\r\n"),
+                                     HUGE_HEADER_WRONG_M])
     def test_loaders(self, el_path, load, raw):
-        # the canonical file and its CRLF form, which the line parser reads
+        # the canonical file, its CRLF form, which the line parser reads, and
+        # a file whose only fault besides the header's n is its edge count
         el_path.write_bytes(raw)
-        with pytest.raises(GraphError, match=f"exceeds the limit of {MAX_VERTICES}"):
+        want = _loaded(reference_load_graph, el_path)
+        if raw == HUGE_HEADER_WRONG_M:
+            assert want == "header declares 2 edges, found 1 edge lines"
+        else:
+            assert want == f"vertex count 100000000000 exceeds the limit of {MAX_VERTICES}"
+        with pytest.raises(GraphError, match=re.escape(want)):
             load(el_path)
 
     @pytest.mark.parametrize("load", [load_graph, lambda path: load_core(path, 2)])
@@ -653,8 +697,10 @@ class TestLoadCore:
         finally:
             tracemalloc.stop()
         assert got.m == 64 and g.m >= 100_000
-        # about 40 bytes per edge; a Counter and a per-edge mask took about 82
-        assert peak < 55 * g.m
+        # about 13 bytes per edge: the int32 edge arrays, the degree list and
+        # one 16 KiB chunk; the whole file and two whole-file layout
+        # temporaries alive beside them took about 23
+        assert peak < 18 * g.m
 
     def test_whole_graph_memory_per_edge(self, el_path):
         g = complete_bipartite(300, 300)
@@ -847,7 +893,7 @@ class TestChunkBoundaries:
             return tokens(lines)
 
         monkeypatch.setattr(densebip.graph, "_tokens", spy)
-        assert densebip.graph._canonical_edges(raw) is not None
+        assert densebip.graph._canonical_edges(io.BytesIO(raw), hashlib.sha256()) is not None
         lines = raw.split(b"\n")
         assert len(_chunk_firsts(raw)) >= 3
         assert firsts == [lines[0], *(lines[i] for i in _chunk_firsts(raw))]
@@ -882,7 +928,7 @@ class TestChunkBoundaries:
         raw = format_edge_list(g).encode()
         tracemalloc.start()
         try:
-            edges = densebip.graph._canonical_edges(raw)
+            edges = densebip.graph._canonical_edges(io.BytesIO(raw), hashlib.sha256())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
