@@ -75,12 +75,10 @@ _EXPORTS = {
     ),
     "rng": ("mix64", "stream", "stream_seed"),
     "stats": (
-        "ConditionalTrial",
         "Estimate",
         "MarkovBound",
         "QBoundCheck",
         "check_q_bound",
-        "draw_conditional_trial",
         "log_spaced_ints",
         "mc_conditional",
         "mc_conditional_sweep",

@@ -4,7 +4,9 @@ oracle, and the distribution checks into reproducible runs.
 Exit codes: 0 success, 1 verified failure (extraction failed, a claim check
 did not pass, a candidate pair is invalid), 2 usage or input errors. JSON
 output is byte-identical for identical inputs, seeds, and flags regardless of
-the worker count.
+the worker count, on one Python version: the interval endpoints of the mean
+checks come from `statistics.stdev`, whose rounding changed in 3.11, so they
+can differ in the last digit between 3.10 and 3.11 or later.
 
 `extract` and `stats` read their input through one helper, `_reduced_input`:
 `check_degree`, `load_core` (which may skip the adjacency of vertices outside

@@ -9,6 +9,14 @@ results in index order, whichever process computed them. With workers > 1
 the trials fan out to a process pool that receives the shared arguments once,
 through its initializer, so tasks carry only indices; `concurrent.futures` is
 imported only when a pool is opened. `extract` runs its trials serially.
+
+Every driver reads its trials in one pass and keeps only its fold: the
+proportion checks keep counts, and the mean checks keep one float per trial
+in an `array("d")`. The three conditioned checks score each trial with one
+function, `_forced_outcome`: `mc_conditional` and `mc_markov_bound` force a
+uniform ell-subset of the vertex's candidate set, and `mc_conditional_sweep`
+forces each such subset in turn. The sweep and the Markov check are library
+functions only; the CLI's `stats` does not run them.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import statistics
+from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import combinations
@@ -53,13 +62,6 @@ class Estimate(namedtuple("Estimate", "mean trials ci_low ci_high target passed"
 
 class QBoundCheck(namedtuple("QBoundCheck", "d ell ratio passed")):
     """Ratio q/p at the guarantee hit target; passes at >= 0.35."""
-
-    __slots__ = ()
-
-
-class ConditionalTrial(namedtuple("ConditionalTrial", "vertex forced sampled")):
-    """One conditioned draw: the sample meets the vertex's candidate set in
-    exactly the chosen forced subset."""
 
     __slots__ = ()
 
@@ -183,36 +185,33 @@ def _free_vertices(og: OrderedGraph, y: int) -> list[int]:
     return [v for v in range(og.graph.n) if v not in blocked]
 
 
-def _forced_trial(params: Params, y: int, free: list[int], forced, rng) -> ConditionalTrial:
-    """Complete a trial whose candidate-set coordinates are pinned to `forced`;
-    `free` is `_free_vertices(og, y)`."""
-    sampled = set(forced)
-    sampled.update(sampled_members(rng, free, params.d))
-    return ConditionalTrial(y, tuple(sorted(forced)), tuple(sorted(sampled)))
-
-
-def _draw_forced(og: OrderedGraph, params: Params, y: int, free: list[int],
-                 rng) -> ConditionalTrial:
-    forced = rng.sample(og.candidate_sets[y], params.ell)
-    return _forced_trial(params, y, free, forced, rng)
-
-
-def draw_conditional_trial(og: OrderedGraph, params: Params, y: int, rng) -> ConditionalTrial:
-    """Force the sample's intersection with y's candidate set to a uniform
-    size-ell subset; every other vertex is sampled independently at 1/d."""
-    return _draw_forced(og, params, y, _free_vertices(og, y), rng)
-
-
-def _conditional_outcome(og: OrderedGraph, params: Params, trial: ConditionalTrial) -> tuple[bool, int]:
-    survivor_set = set(left_minimal_members(og, trial.sampled))
-    missing = sum(1 for x in trial.forced if x not in survivor_set)
-    return bool(_supported_mask(og, survivor_set, 1 << trial.vertex, params.threshold)), missing
+def _forced_outcome(og: OrderedGraph, params: Params, y: int, free: list[int], forced,
+                    rng) -> tuple[bool, int]:
+    """Complete a trial whose candidate-set coordinates are pinned to `forced`
+    and score it: whether y reaches the supported set, and how many forced
+    vertices fail to survive. Every vertex of `free`, which is
+    `_free_vertices(og, y)`, is sampled independently at 1/d."""
+    sampled = [*forced, *sampled_members(rng, free, params.d)]
+    survivor_set = set(left_minimal_members(og, sampled))
+    missing = sum(1 for x in forced if x not in survivor_set)
+    return bool(_supported_mask(og, survivor_set, 1 << y, params.threshold)), missing
 
 
 def _conditional_worker(args, index: int) -> tuple[bool, int]:
     og, params, y, free, seed = args
     rng = stream(seed, index)
-    return _conditional_outcome(og, params, _draw_forced(og, params, y, free, rng))
+    # the forced subset is drawn first, uniformly among ell-subsets
+    return _forced_outcome(og, params, y, free, rng.sample(og.candidate_sets[y], params.ell), rng)
+
+
+def _conditional_outcomes(og: OrderedGraph, params: Params, y: int, trials: int, seed: int,
+                          workers: int) -> Iterator[tuple[bool, int]]:
+    """(supported, missing) of each trial conditioned on a uniform forced
+    subset, in index order: the one pass of `mc_conditional` and
+    `mc_markov_bound`."""
+    _require_conditionable(og, params, y, trials)
+    args = (og, params, y, _free_vertices(og, y), seed)
+    return iter_indexed(_conditional_worker, args, trials, workers)
 
 
 def mc_conditional(
@@ -223,22 +222,17 @@ def mc_conditional(
     Conditioning is operational: the candidate-set coordinates are forced and
     the rest sampled, which is valid because coordinates are independent.
     """
-    _require_conditionable(og, params, y, trials)
-    args = (og, params, y, _free_vertices(og, y), seed)
     successes = 0
-    for ok, _ in iter_indexed(_conditional_worker, args, trials, workers):
+    for ok, _ in _conditional_outcomes(og, params, y, trials, seed, workers):
         successes += ok
     low, high = wilson_interval(successes, trials)
     return Estimate(successes / trials, trials, low, high, CONDITIONAL_TARGET, low > CONDITIONAL_TARGET)
 
 
-def _sweep_worker(args, index: int) -> tuple[int, bool]:
+def _sweep_worker(args, index: int) -> bool:
     og, params, y, free, seed, subsets, trials = args
-    subset_index, _ = divmod(index, trials)
-    rng = stream(seed, index)
-    trial = _forced_trial(params, y, free, subsets[subset_index], rng)
-    ok, _ = _conditional_outcome(og, params, trial)
-    return subset_index, ok
+    ok, _ = _forced_outcome(og, params, y, free, subsets[index // trials], stream(seed, index))
+    return ok
 
 
 def mc_conditional_sweep(
@@ -259,14 +253,15 @@ def mc_conditional_sweep(
     still has to beat 1/5.
     """
     _require_conditionable(og, params, y, trials)
+    count = math.comb(len(og.candidate_sets[y]), params.ell)
+    if count > cap:
+        raise ValueError(f"{count} forced subsets exceed the sweep cap {cap}")
     subsets = tuple(combinations(og.candidate_sets[y], params.ell))
-    if len(subsets) > cap:
-        raise ValueError(f"{len(subsets)} forced subsets exceed the sweep cap {cap}")
-    counts = [0] * len(subsets)
+    counts = [0] * count
     args = (og, params, y, _free_vertices(og, y), seed, subsets, trials)
-    for subset_index, ok in iter_indexed(_sweep_worker, args, len(subsets) * trials, workers):
-        counts[subset_index] += ok
-    worst_index = min(range(len(subsets)), key=lambda i: (counts[i], subsets[i]))
+    for index, ok in enumerate(iter_indexed(_sweep_worker, args, count * trials, workers)):
+        counts[index // trials] += ok
+    worst_index = min(range(count), key=lambda i: (counts[i], subsets[i]))
     low, high = wilson_interval(counts[worst_index], trials)
     estimate = Estimate(
         counts[worst_index] / trials, trials, low, high, CONDITIONAL_TARGET,
@@ -279,12 +274,10 @@ def mc_markov_bound(
     og: OrderedGraph, params: Params, y: int, trials: int, seed: int, workers: int = 1
 ) -> MarkovBound:
     """Attrition statistics of the forced subset under the same conditioning."""
-    _require_conditionable(og, params, y, trials)
     total_missing = 0
     high_missing = 0
     cutoff = 0.9 * params.ell
-    args = (og, params, y, _free_vertices(og, y), seed)
-    for _, missing in iter_indexed(_conditional_worker, args, trials, workers):
+    for _, missing in _conditional_outcomes(og, params, y, trials, seed, workers):
         total_missing += missing
         if missing >= cutoff:
             high_missing += 1
@@ -334,9 +327,7 @@ def mc_edge_identity(
     require_compatible(og, params)
     if not og.graph.is_triangle_free():
         raise ValueError("edge identity requires a triangle-free graph")
-    values = [
-        float(v) for v in iter_indexed(_edge_identity_worker, (og, params, seed), trials, workers)
-    ]
+    values = array("d", iter_indexed(_edge_identity_worker, (og, params, seed), trials, workers))
     mu, low, high = mean_interval(values)
     target = float(params.q * params.q * og.graph.m)
     return Estimate(mu, trials, low, high, target, low <= target <= high)
@@ -361,23 +352,24 @@ def mc_potential(
     _require_trials(trials)
     require_compatible(og, params)
     den = _potential_denominator(params)
-    numerators = list(iter_indexed(_potential_worker, (og, params, seed), trials, workers))
-    successes = sum(1 for num in numerators if num > 0)
-    mu, low, high = mean_interval([num / den for num in numerators])
+    successes = 0
+    values = array("d")
+    for num in iter_indexed(_potential_worker, (og, params, seed), trials, workers):
+        successes += num > 0
+        values.append(num / den)
+    mu, low, high = mean_interval(values)
     estimate = Estimate(mu, trials, low, high, 0.0, low > 0.0)
     return estimate, successes / trials
 
 
 __all__ = [
     "CONDITIONAL_TARGET",
-    "ConditionalTrial",
     "Estimate",
     "MarkovBound",
     "QBoundCheck",
     "Z95",
     "check_q_bound",
     "derive_params",
-    "draw_conditional_trial",
     "exact_q",
     "log_spaced_ints",
     "mc_conditional",

@@ -13,6 +13,7 @@ from operator import and_
 from pathlib import Path
 from typing import Iterable
 
+from hypothesis import reject
 from hypothesis import strategies as st
 
 from densebip.cli import _params_payload, _rational
@@ -22,9 +23,10 @@ from densebip.extractor import (
     Params,
     SampleOutcome,
     derive_params,
+    exact_q,
     extract,
 )
-from densebip.generators import _check_probability
+from densebip.generators import _check_probability, c5_blowup, random_bipartite
 from densebip.graph import (
     Graph,
     GraphError,
@@ -263,6 +265,59 @@ def graphs(draw, min_n: int = 0, max_n: int = 10):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def ordered_cores(draw):
+    """(ordered core, Params) from a random bipartite graph or a C5 blow-up,
+    in guarantee or best-effort mode, sometimes with the support threshold
+    overridden."""
+    guarantee = draw(st.booleans())
+    low = 16 if guarantee else 2
+    if draw(st.booleans()):
+        g = c5_blowup(draw(st.integers(low // 2, 12)))
+    else:
+        g = random_bipartite(
+            draw(st.integers(low, 24)),
+            draw(st.integers(low, 24)),
+            draw(st.sampled_from([0.9, 1.0] if guarantee else [0.3, 0.7, 0.9, 1.0])),
+            draw(st.integers(0, 2**16)),
+        )
+    top = max(len(nbrs) for nbrs in g.adjacency)
+    if top < low:
+        reject()
+    d = draw(st.integers(low, top))
+    try:
+        og, _ = reduce_and_order(g, d)
+    except EmptyCoreError:
+        reject()
+    params = derive_params(d, guarantee)
+    threshold = draw(st.one_of(st.none(), st.integers(0, 3)))
+    if threshold is not None:
+        params = params._replace(threshold=threshold)
+    return og, params
+
+
+@st.composite
+def ragged_cores(draw):
+    """Ordered graphs on up to 70 vertices, so the masks span several int
+    digits, under a random order and d: the left lists and candidate sets are
+    ragged, and a vertex of degree below d keeps all its neighbors as
+    candidates."""
+    n = draw(st.integers(1, 70))
+    g = random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.6])), draw(st.integers(0, 2**16)))
+    return OrderedGraph(g, tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 5)))
+
+
+@st.composite
+def ragged_trial_cores(draw):
+    """(ragged ordered graph, Params for its d): ell and the threshold are drawn,
+    and q is the pmf at ell, kept positive so the potential is defined."""
+    og = draw(ragged_cores())
+    d = og.d
+    ell = draw(st.integers(0 if d > 1 else 1, min(d, 4)))
+    threshold = draw(st.integers(0, 3))
+    return og, Params(d, ell, Fraction(1, d), Fraction(exact_q(d, ell)), threshold, False)
 
 
 def k40_with_triangles() -> Graph:
@@ -553,3 +608,37 @@ def reference_sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutco
     return SampleOutcome(
         tuple(sampled), tuple(survivors), tuple(layer), tuple(supported), layer_edges, phi
     )
+
+
+def reference_forced_outcome(
+    og: OrderedGraph, params: Params, y: int, forced, rng
+) -> tuple[bool, int]:
+    """Reference for `_forced_outcome`: one randrange(d) per vertex outside y's
+    candidate set completes the sample, which must meet the candidate set in
+    exactly the ell forced vertices; then the list scans score it, as
+    (y supported, forced vertices that do not survive)."""
+    candidates = set(og.candidate_sets[y])
+    assert len(set(forced)) == len(forced) == params.ell
+    assert set(forced) <= candidates
+    sampled = set(forced)
+    for v in range(og.graph.n):
+        if v not in candidates and rng.randrange(params.d) == 0:
+            sampled.add(v)
+    assert sampled & candidates == set(forced)
+    survivors = reference_left_minimal_members(og, sorted(sampled))
+    supported = reference_supported_members(og, survivors, [y], params.threshold)
+    return bool(supported), sum(1 for x in forced if x not in survivors)
+
+
+def reference_conditional_outcomes(
+    og: OrderedGraph, params: Params, y: int, trials: int, seed: int
+) -> list[tuple[bool, int]]:
+    """Reference for the trials of `mc_conditional` and `mc_markov_bound`: trial
+    i draws a uniform ell-subset of y's candidate set from stream(seed, i),
+    then completes and scores the sample on the same stream."""
+    outcomes = []
+    for i in range(trials):
+        rng = stream(seed, i)
+        forced = rng.sample(og.candidate_sets[y], params.ell)
+        outcomes.append(reference_forced_outcome(og, params, y, forced, rng))
+    return outcomes

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densebip.extractor
@@ -30,8 +30,6 @@ from densebip.extractor import (
 from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
 from densebip.reducer import (
-    EmptyCoreError,
-    OrderedGraph,
     bitmask,
     build_ordered,
     mask_members,
@@ -44,6 +42,9 @@ from helpers import (
     cycle_graph,
     edges_within,
     k40_with_triangles,
+    ordered_cores,
+    ragged_cores,
+    ragged_trial_cores,
     random_graph,
     reference_hit_layer,
     reference_left_minimal_members,
@@ -205,59 +206,6 @@ class TestSampleTrial:
             - params.q * 2 * 100 / 10
         )
         assert phi == expected
-
-
-@st.composite
-def ordered_cores(draw):
-    """(ordered core, Params) from a random bipartite graph or a C5 blow-up,
-    in guarantee or best-effort mode, sometimes with the support threshold
-    overridden."""
-    guarantee = draw(st.booleans())
-    low = 16 if guarantee else 2
-    if draw(st.booleans()):
-        g = c5_blowup(draw(st.integers(low // 2, 12)))
-    else:
-        g = random_bipartite(
-            draw(st.integers(low, 24)),
-            draw(st.integers(low, 24)),
-            draw(st.sampled_from([0.9, 1.0] if guarantee else [0.3, 0.7, 0.9, 1.0])),
-            draw(st.integers(0, 2**16)),
-        )
-    top = max(len(nbrs) for nbrs in g.adjacency)
-    if top < low:
-        reject()
-    d = draw(st.integers(low, top))
-    try:
-        og, _ = reduce_and_order(g, d)
-    except EmptyCoreError:
-        reject()
-    params = derive_params(d, guarantee)
-    threshold = draw(st.one_of(st.none(), st.integers(0, 3)))
-    if threshold is not None:
-        params = params._replace(threshold=threshold)
-    return og, params
-
-
-@st.composite
-def ragged_cores(draw):
-    """Ordered graphs on up to 70 vertices, so the masks span several int
-    digits, under a random order and d: the left lists and candidate sets are
-    ragged, and a vertex of degree below d keeps all its neighbors as
-    candidates."""
-    n = draw(st.integers(1, 70))
-    g = random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.6])), draw(st.integers(0, 2**16)))
-    return OrderedGraph(g, tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 5)))
-
-
-@st.composite
-def ragged_trial_cores(draw):
-    """(ragged ordered graph, Params for its d): ell and the threshold are drawn,
-    and q is the pmf at ell, kept positive so the potential is defined."""
-    og = draw(ragged_cores())
-    d = og.d
-    ell = draw(st.integers(0 if d > 1 else 1, min(d, 4)))
-    threshold = draw(st.integers(0, 3))
-    return og, Params(d, ell, Fraction(1, d), Fraction(exact_q(d, ell)), threshold, False)
 
 
 class TestSampleTrialOracle:

@@ -9,7 +9,7 @@ from densebip.extractor import ExtractionResult, Params, SampleOutcome
 from densebip.graph import BipartitePairReport, Graph
 from densebip.oracle import OracleResult
 from densebip.reducer import OrderedGraph
-from densebip.stats import ConditionalTrial, Estimate, MarkovBound, QBoundCheck
+from densebip.stats import Estimate, MarkovBound, QBoundCheck
 
 
 def test_public_names_resolve_to_their_module_objects():
@@ -69,9 +69,6 @@ RECORDS = {
         lambda: (0.5, 10, 0.25, 0.75, 0.2, True),
     ),
     "QBoundCheck": (QBoundCheck, ["d", "ell", "ratio", "passed"], lambda: (16, 2, 0.4, True)),
-    "ConditionalTrial": (
-        ConditionalTrial, ["vertex", "forced", "sampled"], lambda: (3, (1,), (1, 5))
-    ),
     "MarkovBound": (
         MarkovBound, ["mean_missing", "frac_high_missing", "ell", "trials"],
         lambda: (0.5, 0.125, 2, 100),

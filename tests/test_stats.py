@@ -2,21 +2,26 @@ import concurrent.futures
 import math
 import operator
 import os
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from densebip.extractor import Params, exact_q, survival_probability
-from densebip.generators import complete_bipartite
+from densebip.generators import complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
 from densebip.reducer import OrderedGraph, reduce_and_order
 from densebip.rng import stream
 from densebip.generators import c5_blowup
 import densebip.stats
 from densebip.stats import (
+    Estimate,
+    MarkovBound,
     check_q_bound,
     derive_params,
-    draw_conditional_trial,
     iter_indexed,
     log_spaced_ints,
     mc_conditional,
@@ -27,6 +32,13 @@ from densebip.stats import (
     mc_potential,
     mean_interval,
     wilson_interval,
+)
+
+from helpers import (
+    ordered_cores,
+    ragged_trial_cores,
+    reference_conditional_outcomes,
+    reference_forced_outcome,
 )
 
 
@@ -175,16 +187,6 @@ class TestConditional:
         with pytest.raises(ValueError):
             mc_conditional(og, derive_params(16, True), 0, 0, seed=0)
 
-    def test_draw_invariants(self):
-        og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
-        params = derive_params(16, True)
-        for i in range(25):
-            trial = draw_conditional_trial(og, params, 0, stream(9, i))
-            candidates = set(og.candidate_sets[0])
-            assert len(trial.forced) == params.ell
-            assert set(trial.forced) <= candidates
-            assert set(trial.sampled) & candidates == set(trial.forced)
-
     def test_non_bipartite_instance_beats_one_fifth(self):
         # 32-regular triangle-free blow-up of the 5-cycle
         og, _ = reduce_and_order(c5_blowup(16), 32)
@@ -251,6 +253,19 @@ class TestConditionalSweep:
         params = derive_params(16, True)
         with pytest.raises(ValueError):
             mc_conditional_sweep(og, params, 0, 10, seed=0, cap=10)
+        # the refusal counts the subsets before it enumerates them: listing
+        # the 280,840 forced subsets of K_{120,120} at d=120 peaked at 19 MiB
+        og, _ = reduce_and_order(complete_bipartite(120, 120), 120)
+        params = derive_params(120, True)
+        og.candidate_sets  # built before tracing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="280840 forced subsets exceed the sweep cap 4096"):
+                mc_conditional_sweep(og, params, 0, 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_deterministic(self):
         og, _ = reduce_and_order(complete_bipartite(16, 16), 16)
@@ -258,6 +273,84 @@ class TestConditionalSweep:
         a = mc_conditional_sweep(og, params, 0, 30, seed=4)
         b = mc_conditional_sweep(og, params, 0, 30, seed=4, workers=2)
         assert a == b
+
+
+# mc_conditional_sweep, mc_markov_bound and mc_conditional at vertex 0 and
+# seed 7, taken before each conditioned trial was scored by one function; the
+# 730-vertex core of random_bipartite(1000, 1000, 0.008, seed 5) fails the
+# mask predicate, so it takes the heap ordering and lazily built masks
+FROZEN_CONDITIONED = {
+    "K16,16 d=16": (
+        lambda: complete_bipartite(16, 16), 16, True, 20,
+        (Estimate(0.15, 20, 0.05236779195949584, 0.36042329588695743, 0.2, False), (16, 17)),
+        MarkovBound(0.698, 0.238, 2, 500),
+        Estimate(0.762, 500, 0.7227631109081946, 0.7972415889816121, 0.2, True),
+    ),
+    "c5_blowup(16) d=32": (
+        lambda: c5_blowup(16), 32, True, 8,
+        (Estimate(0.125, 8, 0.02241690886329617, 0.4708948057698615, 0.2, False), (16, 18)),
+        MarkovBound(0.714, 0.212, 2, 500),
+        Estimate(0.788, 500, 0.7500471496065019, 0.8215610701196979, 0.2, True),
+    ),
+    "random_bipartite core d=5": (
+        lambda: random_bipartite(1000, 1000, 0.008, 5), 5, False, 40,
+        (Estimate(0.75, 40, 0.598057409330299, 0.8581303210445048, 0.2, True), (443, 569, 661)),
+        MarkovBound(1.268, 0.116, 3, 500),
+        Estimate(0.9, 500, 0.8705774917999974, 0.9233228133752799, 0.2, True),
+    ),
+}
+
+
+class TestConditionedDrivers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", FROZEN_CONDITIONED)
+    def test_frozen_values(self, case, workers):
+        build, d, guarantee, sweep_trials, sweep, markov, conditional = FROZEN_CONDITIONED[case]
+        og, _ = reduce_and_order(build(), d)
+        params = derive_params(d, guarantee)
+        assert mc_conditional_sweep(og, params, 0, sweep_trials, seed=7, workers=workers) == sweep
+        assert mc_markov_bound(og, params, 0, 500, seed=7, workers=workers) == markov
+        assert mc_conditional(og, params, 0, 500, seed=7, workers=workers) == conditional
+
+    @settings(max_examples=40)
+    @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.integers(0, 2**64 - 1),
+           st.integers(1, 4), st.data())
+    def test_match_reference_trials(self, core, seed, trials, data):
+        """All three conditioned drivers against the reference draw-then-score
+        trials, which check that each sample meets y's candidate set in exactly
+        its ell forced vertices."""
+        og, params = core
+        eligible = [v for v in range(og.graph.n) if len(og.graph.adjacency[v]) >= params.d]
+        assume(eligible)
+        y = data.draw(st.sampled_from(eligible))
+
+        def estimate(successes: int) -> Estimate:
+            low, high = wilson_interval(successes, trials)
+            return Estimate(successes / trials, trials, low, high, 0.2, low > 0.2)
+
+        outcomes = reference_conditional_outcomes(og, params, y, trials, seed)
+        assert mc_conditional(og, params, y, trials, seed) == estimate(
+            sum(ok for ok, _ in outcomes)
+        )
+        missing = [m for _, m in outcomes]
+        assert mc_markov_bound(og, params, y, trials, seed) == MarkovBound(
+            sum(missing) / trials,
+            sum(1 for m in missing if m >= 0.9 * params.ell) / trials,
+            params.ell,
+            trials,
+        )
+        subsets = list(combinations(og.candidate_sets[y], params.ell))
+        counts = [
+            sum(
+                reference_forced_outcome(og, params, y, forced, stream(seed, k * trials + t))[0]
+                for t in range(trials)
+            )
+            for k, forced in enumerate(subsets)
+        ]
+        worst = min(range(len(subsets)), key=lambda k: (counts[k], subsets[k]))
+        assert mc_conditional_sweep(og, params, y, trials, seed) == (
+            estimate(counts[worst]), subsets[worst]
+        )
 
 
 class TestSurvival:
@@ -342,6 +435,27 @@ class TestPotential:
         e = mc_edge_identity(og, params, 150, seed=2, workers=1)
         assert e.mean > 0
         assert mc_edge_identity(og, params, 150, seed=2, workers=2) == e
+
+
+@pytest.mark.parametrize("driver", [mc_potential, mc_edge_identity], ids=lambda f: f.__name__)
+def test_memory_per_trial(driver):
+    """Each trial leaves one float behind: the tracemalloc peak grew by about
+    78 bytes a trial in mc_potential and 32 in mc_edge_identity while they
+    held every numerator or a list of floats."""
+    og, _ = reduce_and_order(c5_blowup(60), 120)
+    params = derive_params(120, True)
+    for v in range(og.graph.n):  # every mask is built before tracing
+        og.holder_masks[v], og.neighbor_masks[v], og.left_masks[v]
+
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            driver(og, params, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(5000) - peak(1000)) / 4000 < 12
 
 
 def test_every_check_deterministic_given_seed_and_trials():
