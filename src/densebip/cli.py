@@ -16,9 +16,10 @@ translate to input ids only for `--x`/`--y` and the printed output.
 
 Importing this module loads only what `extract` runs: the graph, reducer,
 extractor and rng modules. The functions that `gen`, `oracle` and `stats`
-call live in the generators, oracle and stats modules; each is imported on
-first access to its name here (a module `__getattr__`) and then cached. The
-commands read these names as attributes of this module, so patching
+call live in the generators, oracle and stats modules; each public name that
+`densebip._EXPORTS` lists for them, and `DEFAULT_CAP`, is imported on first
+access to it here (a module `__getattr__`) and then cached. The commands read
+these names as attributes of this module, so patching
 `densebip.cli.mc_potential` reaches `stats potential`.
 """
 
@@ -26,12 +27,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from . import _lazy_getattr
+from . import _EXPORTS, _lazy_getattr
 from .extractor import (
     ExtractionError,
     ParamsError,
@@ -49,24 +48,25 @@ from .graph import (
     format_edge_list,
     load_core,
     load_graph,
+    save_graph,
 )
 from .reducer import EmptyCoreError, OrderedGraph, OrderingError, reduce_and_order
 
 __getattr__ = _lazy_getattr(globals(), {
-    "binomial_triangle_scrubbed": "generators",
-    "c5_blowup": "generators",
-    "complete_bipartite": "generators",
-    "random_bipartite": "generators",
     "DEFAULT_CAP": "oracle",
-    "max_induced_bipartite_average_degree": "oracle",
-    "check_q_bound": "stats",
-    "mc_conditional": "stats",
-    "mc_edge_identity": "stats",
-    "mc_per_vertex_survival": "stats",
-    "mc_potential": "stats",
+    **{name: module for module in ("generators", "oracle", "stats") for name in _EXPORTS[module]},
 })
 
-SEED_ENV_VAR = "DENSEBIP_SEED"
+# gen family: (generator, parameter types, wrong-count message, seeded)
+_FAMILIES = {
+    "complete-bipartite": ("complete_bipartite", (int, int),
+                           "complete-bipartite needs two integers: A B", False),
+    "random-bipartite": ("random_bipartite", (int, int, float),
+                         "random-bipartite needs: N1 N2 RHO", True),
+    "c5-blowup": ("c5_blowup", (int,), "c5-blowup needs one integer: T", False),
+    "binomial-scrubbed": ("binomial_triangle_scrubbed", (int, float),
+                          "binomial-scrubbed needs: N RHO", True),
+}
 
 _DEFAULT_TRIALS = {
     "conditional": 10_000,
@@ -74,12 +74,6 @@ _DEFAULT_TRIALS = {
     "edge-identity": 10_000,
     "potential": 1_000,
 }
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
 def _emit(payload: dict) -> None:
@@ -134,33 +128,17 @@ def _positive_int(label: str, value: int) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cli = sys.modules[__name__]
-    seed = _resolve_seed(args.seed)
-    family = args.family
-    p = args.params
-    if family == "complete-bipartite":
-        if len(p) != 2:
-            raise ValueError("complete-bipartite needs two integers: A B")
-        g = cli.complete_bipartite(int(p[0]), int(p[1]))
-    elif family == "random-bipartite":
-        if len(p) != 3:
-            raise ValueError("random-bipartite needs: N1 N2 RHO")
-        g = cli.random_bipartite(int(p[0]), int(p[1]), float(p[2]), seed)
-    elif family == "c5-blowup":
-        if len(p) != 1:
-            raise ValueError("c5-blowup needs one integer: T")
-        g = cli.c5_blowup(int(p[0]))
-    elif family == "binomial-scrubbed":
-        if len(p) != 2:
-            raise ValueError("binomial-scrubbed needs: N RHO")
-        g = cli.binomial_triangle_scrubbed(int(p[0]), float(p[1]), seed)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown family {family!r}")
-    text = format_edge_list(g)
+    name, types, wrong_count, seeded = _FAMILIES[args.family]
+    if len(args.params) != len(types):
+        raise ValueError(wrong_count)
+    values = [kind(text) for kind, text in zip(types, args.params)]
+    if seeded:
+        values.append(args.seed)
+    g = getattr(sys.modules[__name__], name)(*values)
     if args.out:
-        Path(args.out).write_text(text)
+        save_graph(g, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_edge_list(g))
     return 0
 
 
@@ -179,18 +157,17 @@ def _reduced_input(args: argparse.Namespace) -> tuple[str, Params, OrderedGraph,
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     _positive_int("--max-retries", args.max_retries)
     _positive_int("--workers", args.workers)
     sha256, params, og, original = _reduced_input(args)
     try:
-        result = extract(og, params, seed, args.max_retries)
+        result = extract(og, params, args.seed, args.max_retries)
     except ExtractionError as exc:
         _emit({
             "error": str(exc),
             "diagnostics": exc.diagnostics,
             "input_sha256": sha256,
-            "seed": seed,
+            "seed": args.seed,
             "params": _params_payload(params),
         })
         return 1
@@ -201,7 +178,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     side_j = [original[v] for v in report.J]
     payload = {
         "input_sha256": sha256,
-        "seed": seed,
+        "seed": args.seed,
         "params": _params_payload(params),
         "reduced_n": og.graph.n,
         "reduced_m": og.graph.m,
@@ -246,7 +223,6 @@ def _translate_vertex(original: tuple[int, ...], vertex: int | None, default_loc
 
 def cmd_stats(args: argparse.Namespace) -> int:
     cli = sys.modules[__name__]
-    seed = _resolve_seed(args.seed)
     _positive_int("--workers", args.workers)
     if args.check == "check-q":
         result = cli.check_q_bound(args.d)
@@ -268,24 +244,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     payload: dict = {
         "check": args.check,
         "input_sha256": sha256,
-        "seed": seed,
+        "seed": args.seed,
         "trials": trials,
         "params": _params_payload(params),
     }
     if args.check == "conditional":
         y = _translate_vertex(original, args.y, 0)
-        est = cli.mc_conditional(og, params, y, trials, seed, args.workers)
+        est = cli.mc_conditional(og, params, y, trials, args.seed, args.workers)
         payload["vertex"] = original[y]
     elif args.check == "survival":
         default_x = max(range(og.graph.n), key=lambda v: (len(og.left_neighbors[v]), -v))
         x = _translate_vertex(original, args.x, default_x)
-        est = cli.mc_per_vertex_survival(og, params, x, trials, seed, args.workers)
+        est = cli.mc_per_vertex_survival(og, params, x, trials, args.seed, args.workers)
         payload["vertex"] = original[x]
         payload["left_degree"] = len(og.left_neighbors[x])
     elif args.check == "edge-identity":
-        est = cli.mc_edge_identity(og, params, trials, seed, args.workers)
+        est = cli.mc_edge_identity(og, params, trials, args.seed, args.workers)
     elif args.check == "potential":
-        est, payload["success_rate"] = cli.mc_potential(og, params, trials, seed, args.workers)
+        est, payload["success_rate"] = cli.mc_potential(og, params, trials, args.seed, args.workers)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown check {args.check!r}")
     payload["estimate"] = est._asdict()
@@ -318,12 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a generated instance in edge-list form")
-    gen.add_argument(
-        "family",
-        choices=["complete-bipartite", "random-bipartite", "c5-blowup", "binomial-scrubbed"],
-    )
+    gen.add_argument("family", choices=list(_FAMILIES))
     gen.add_argument("params", nargs="*", help="family parameters, e.g. 200 200")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="output file (default: stdout)")
     gen.set_defaults(func=cmd_gen)
 
@@ -332,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--d", type=int, required=True, help="minimum-degree parameter")
     ext.add_argument("--guarantee", action="store_true",
                      help="enforce the d>=16 constants and the ell/2310 floor")
-    ext.add_argument("--seed", type=int, default=None)
+    ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--max-retries", type=int, default=1000)
     ext.add_argument("--workers", type=int, default=1,
                      help="checked and ignored: extract runs its trials in one process")
@@ -353,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--in", dest="infile", default=None)
     st.add_argument("--d", type=int, required=True)
     st.add_argument("--trials", type=int, default=None)
-    st.add_argument("--seed", type=int, default=None)
+    st.add_argument("--seed", type=int, default=0)
     st.add_argument("--workers", type=int, default=1)
     st.add_argument("--guarantee", action="store_true")
     st.add_argument("--y", type=int, default=None, help="conditioned vertex (original id)")

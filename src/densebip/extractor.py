@@ -210,6 +210,16 @@ def require_compatible(og: OrderedGraph, params: Params) -> None:
         raise ValueError(f"ordered graph built for d={og.d}, params for d={params.d}")
 
 
+def require_premise(og: OrderedGraph, params: Params) -> None:
+    """In guarantee mode, raise ParamsError when the core has a triangle: the
+    proof of the floor, and of each step it rests on, uses only the core and
+    needs it triangle-free."""
+    if params.guarantee and not og.graph.is_triangle_free():
+        raise ParamsError(
+            "guarantee mode needs a triangle-free input, but the reduced core has a triangle"
+        )
+
+
 def require_vertex(og: OrderedGraph, v: int) -> None:
     """Reject a vertex id outside 0..n-1 of the ordered graph."""
     if not 0 <= v < og.graph.n:
@@ -395,16 +405,12 @@ def extract(
     report is the result's `report`. Raises ExtractionError when
     retries run out, the accepted trial cannot produce a nonempty adjacent
     pair, or it breaks the 230x ratio. In guarantee mode it first raises
-    ParamsError when the core has a triangle: the proof of the floor uses
-    only the core, and needs it triangle-free.
+    ParamsError when the core has a triangle (`require_premise`).
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
     require_compatible(og, params)
-    if params.guarantee and not og.graph.is_triangle_free():
-        raise ParamsError(
-            "guarantee mode needs a triangle-free input, but the reduced core has a triangle"
-        )
+    require_premise(og, params)
     accepted_index = next(
         (i for i in range(max_retries) if _trial_numerator(og, params, stream(seed, i)) > 0), -1
     )

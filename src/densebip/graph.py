@@ -87,18 +87,17 @@ class Graph(namedtuple("Graph", "adjacency")):
         """True iff no edge's endpoints share a neighbor.
 
         A proper 2-colouring proves the graph bipartite, hence triangle-free,
-        in O(n + m). Only a graph that is not bipartite has each edge (u, v)
-        with u < v tested by checking v's adjacency list against a set of u's
-        neighbors, built once per u, so the cost is the sum of deg v over the
-        edges, with early exit on the first common neighbor.
+        in O(n + m). Only a graph that is not bipartite is searched: with
+        above[u] the neighbours of u larger than u, a triangle u < v < w has
+        v in above[u] and w in above[u] & above[v], so each edge costs one
+        set intersection, with early exit on the first triangle.
         """
         if self._is_bipartite():
             return True
-        adjacency = self.adjacency
-        for u, nbrs in enumerate(adjacency):
-            mine = set(nbrs)
-            for v in nbrs:
-                if u < v and not mine.isdisjoint(adjacency[v]):
+        above = [set(nbrs[bisect_right(nbrs, u):]) for u, nbrs in enumerate(self.adjacency)]
+        for mine in above:
+            for v in mine:
+                if not mine.isdisjoint(above[v]):
                     return False
         return True
 

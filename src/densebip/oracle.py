@@ -33,7 +33,7 @@ def _two_color(masks: list[int], subset: int) -> tuple[int, int] | None:
     remaining = subset
     while remaining:
         start = remaining & -remaining
-        comp0, comp1 = start, 0
+        comp = [start, 0]  # the component's two colour classes
         frontier, side = start, 0
         while frontier:
             nxt = 0
@@ -43,21 +43,14 @@ def _two_color(masks: list[int], subset: int) -> tuple[int, int] | None:
                 f ^= b
                 nxt |= masks[b.bit_length() - 1]
             nxt &= subset
-            if side == 0:
-                if nxt & comp0:
-                    return None
-                frontier = nxt & ~comp1
-                comp1 |= nxt
-                side = 1
-            else:
-                if nxt & comp1:
-                    return None
-                frontier = nxt & ~comp0
-                comp0 |= nxt
-                side = 0
-        color0 |= comp0
-        color1 |= comp1
-        remaining &= ~(comp0 | comp1)
+            if nxt & comp[side]:
+                return None
+            side ^= 1
+            frontier = nxt & ~comp[side]
+            comp[side] |= nxt
+        color0 |= comp[0]
+        color1 |= comp[1]
+        remaining &= ~(comp[0] | comp[1])
     return color0, color1
 
 

@@ -17,6 +17,11 @@ function, `_forced_outcome`: `mc_conditional` and `mc_markov_bound` force a
 uniform ell-subset of the vertex's candidate set, and `mc_conditional_sweep`
 forces each such subset in turn. The sweep and the Markov check are library
 functions only; the CLI's `stats` does not run them.
+
+In guarantee mode `mc_potential` and the three conditioned checks refuse a
+core with a triangle (`require_premise`), as the steps they check are proved
+for a triangle-free core only. Survival's closed form holds on any ordered
+core, and `mc_edge_identity` refuses a triangle in either mode.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .extractor import (
     exact_q,
     left_minimal_members,
     require_compatible,
+    require_premise,
     require_vertex,
     sample_trial,  # not called here: bench/spans.py wraps it by this name
     survival_probability,
@@ -170,9 +176,11 @@ def _require_trials(trials: int) -> None:
 
 def _require_conditionable(og: OrderedGraph, params: Params, y: int, trials: int) -> None:
     """Checks shared by the conditioned drivers: forcing an ell-subset of y's
-    candidate set needs y to have degree at least d."""
+    candidate set needs y to have degree at least d, and in guarantee mode
+    the claim needs a triangle-free core."""
     _require_trials(trials)
     require_compatible(og, params)
+    require_premise(og, params)
     require_vertex(og, y)
     if len(og.graph.adjacency[y]) < params.d:
         raise ValueError(f"vertex {y} has degree below d={params.d}")
@@ -351,6 +359,7 @@ def mc_potential(
     """
     _require_trials(trials)
     require_compatible(og, params)
+    require_premise(og, params)
     den = _potential_denominator(params)
     successes = 0
     values = array("d")
@@ -360,25 +369,3 @@ def mc_potential(
     mu, low, high = mean_interval(values)
     estimate = Estimate(mu, trials, low, high, 0.0, low > 0.0)
     return estimate, successes / trials
-
-
-__all__ = [
-    "CONDITIONAL_TARGET",
-    "Estimate",
-    "MarkovBound",
-    "QBoundCheck",
-    "Z95",
-    "check_q_bound",
-    "derive_params",
-    "exact_q",
-    "log_spaced_ints",
-    "mc_conditional",
-    "mc_conditional_sweep",
-    "mc_edge_identity",
-    "mc_markov_bound",
-    "mc_per_vertex_survival",
-    "mc_potential",
-    "mean_interval",
-    "survival_probability",
-    "wilson_interval",
-]

@@ -62,6 +62,28 @@ class TestGen:
         code, _, err = run(capsys, "gen", "complete-bipartite", "3")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["complete-bipartite", "2", "3"], "5 6\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"),
+        (["random-bipartite", "3", "3", "0.5", "--seed", "1"], "6 5\n0 4\n1 4\n1 5\n2 3\n2 4\n"),
+        (["c5-blowup", "1"], "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"),
+        (["binomial-scrubbed", "6", "0.5", "--seed", "2"], "6 5\n0 3\n1 3\n2 3\n2 5\n4 5\n"),
+    ])
+    def test_family_output_is_pinned(self, argv, text, tmp_path, capsys):
+        assert run(capsys, "gen", *argv) == (0, text, "")
+        out = tmp_path / "g.el"
+        assert run(capsys, "gen", *argv, "--out", str(out)) == (0, "", "")
+        assert out.read_text() == text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["complete-bipartite", "3"], "complete-bipartite needs two integers: A B"),
+        (["random-bipartite", "3", "3"], "random-bipartite needs: N1 N2 RHO"),
+        (["c5-blowup", "1", "2"], "c5-blowup needs one integer: T"),
+        (["binomial-scrubbed", "6"], "binomial-scrubbed needs: N RHO"),
+        (["random-bipartite", "3", "3", "x"], "could not convert string to float: 'x'"),
+    ])
+    def test_wrong_parameters_are_pinned(self, argv, message, capsys):
+        assert run(capsys, "gen", *argv) == (2, "", f"error: {message}\n")
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "moebius", "3"])
@@ -326,6 +348,22 @@ class TestStats:
                          "--guarantee", "--seed", "7", "--trials", "200")
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("check", ["potential", "conditional", "survival"])
+    def test_guarantee_premise_on_a_core_with_a_triangle(self, tmp_path, capsys, check):
+        path = str(tmp_path / "tri.el")
+        save_graph(k40_with_triangles(), path)
+        argv = ["stats", check, "--in", path, "--d", "16", "--seed", "1", "--trials", "200"]
+        code, out, err = run(capsys, *argv, "--guarantee")
+        if check == "survival":
+            # (1-1/d)^k holds on any ordered core
+            assert code == 0 and json.loads(out)["passed"] is True
+        else:
+            assert (code, out) == (2, "")
+            assert err == ("error: guarantee mode needs a triangle-free input, "
+                           "but the reduced core has a triangle\n")
+        # best-effort mode makes no claim that needs the premise
+        assert run(capsys, *argv)[0] in (0, 1)
+
     def test_missing_input_exits_2(self, capsys):
         code, _, _ = run(capsys, "stats", "potential", "--d", "16")
         assert code == 2
@@ -473,19 +511,15 @@ class TestVerify:
         assert code == 2
 
 
-def test_seed_env_var_fallback(k16_file, capsys, monkeypatch):
-    monkeypatch.setenv("DENSEBIP_SEED", "0")
+def test_seed_env_var_is_ignored(k16_file, capsys, monkeypatch):
+    # --seed alone sets the seed, and it defaults to 0
+    monkeypatch.setenv("DENSEBIP_SEED", "12345")
     _, out_env, _ = run(capsys, "extract", "--in", k16_file, "--d", "16", "--guarantee", "--json")
+    monkeypatch.delenv("DENSEBIP_SEED")
     _, out_flag, _ = run(
         capsys, "extract", "--in", k16_file, "--d", "16", "--guarantee", "--seed", "0", "--json"
     )
     assert out_env == out_flag
-    # the flag wins over the environment
-    monkeypatch.setenv("DENSEBIP_SEED", "12345")
-    _, out_override, _ = run(
-        capsys, "extract", "--in", k16_file, "--d", "16", "--guarantee", "--seed", "0", "--json"
-    )
-    assert out_override == out_flag
 
 
 def test_runtime_needs_only_the_standard_library():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from densebip.extractor import Params, exact_q, survival_probability
+from densebip.extractor import Params, ParamsError, exact_q, survival_probability
 from densebip.generators import complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
 from densebip.reducer import OrderedGraph, reduce_and_order
@@ -35,6 +35,7 @@ from densebip.stats import (
 )
 
 from helpers import (
+    k40_with_triangles,
     ordered_cores,
     ragged_trial_cores,
     reference_conditional_outcomes,
@@ -204,6 +205,17 @@ class TestConditional:
             slack = 3 * params.ell / (2 * math.sqrt(trials))
             assert mb.mean_missing <= 0.65 * params.ell + slack
             assert mb.frac_high_missing < 0.8
+
+    @pytest.mark.parametrize(
+        "driver", [mc_conditional, mc_conditional_sweep, mc_markov_bound],
+        ids=lambda f: f.__name__,
+    )
+    def test_guarantee_mode_refuses_a_core_with_a_triangle(self, driver):
+        og, _ = reduce_and_order(k40_with_triangles(), 16)
+        assert not og.graph.is_triangle_free()
+        with pytest.raises(ParamsError, match="the reduced core has a triangle"):
+            driver(og, derive_params(16, True), 0, 10, seed=0)
+        driver(og, derive_params(16, False), 0, 10, seed=0)
 
     def test_mismatched_params_rejected(self):
         og, _ = reduce_and_order(complete_bipartite(32, 32), 32)
