@@ -18,8 +18,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import add, lt, mul
+from itertools import chain, islice, repeat
+from operator import add, floordiv, lt, mod, mul
 from pathlib import Path
 
 # Every vertex gets an adjacency list, isolated or not, so a header alone could
@@ -181,10 +181,6 @@ def _pair(line: str, kind: str, shape: str) -> tuple[int, int]:
     return pair
 
 
-def _edge(line: str) -> tuple[int, int]:
-    return _pair(line, "edge", "u v")
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the on-disk format: a header line "n m", then m lines "u v".
 
@@ -195,32 +191,11 @@ def parse_edge_list(text: str) -> Graph:
     vertex ids are 0-based. Each edge is listed once, in either
     orientation; a repeated edge is an error, not collapsed. The first
     malformed, out-of-range or self-loop edge line is the one reported; a
-    repeat is reported only when every line passes those checks.
+    repeat is reported only when every line passes those checks. `text`
+    goes through the reader of `load_graph`, encoded as UTF-8.
     """
-    rows = []
-    for raw in text.split("\n"):
-        # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
-        line = raw.removesuffix("\r").strip(" \t")
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
-    if not rows:
-        raise GraphError("empty edge-list input")
-    n, m = _pair(rows[0], "header", "n m")
-    if m < 0:
-        raise GraphError("edge count must be nonnegative")
-    if len(rows) - 1 != m:
-        raise GraphError(f"header declares {m} edges, found {len(rows) - 1} edge lines")
-    g = from_edge_list(n, map(_edge, rows[1:]))
-    if g.m != m:
-        # from_edge_list collapsed a repeat; parse again to name the first one
-        seen: set[tuple[int, int]] = set()
-        for u, v in map(_edge, rows[1:]):
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-    return g
+    n, us, vs, _ = _read_edges(io.BytesIO(text.encode("utf-8", "surrogatepass")), hashlib.sha256())
+    return _sorted_edges_graph(n, us, vs)
 
 
 def _canonical_pieces(g: Graph) -> Iterator[str]:
@@ -242,8 +217,8 @@ def format_edge_list(g: Graph) -> str:
 # Once '-' is ruled out, JSON's integer grammar 0|[1-9][0-9]* is exactly the
 # canonical token grammar: leading zeros and empty tokens are JSON errors
 _COMMAS = bytes.maketrans(b" \n", b",,")
-# bytes of edge lines read and parsed at a time: a chunk ends at the first
-# newline this far past its start, so only one chunk's bytes and int objects
+# bytes of edge lines read and parsed at a time: a piece ends at the first
+# newline this far past its start, so only one piece's bytes and int objects
 # are alive at a time
 _CHUNK = 1 << 14
 
@@ -257,66 +232,116 @@ def _tokens(lines: bytes) -> list[int]:
     return json.loads(b"[" + lines.translate(_COMMAS) + b"]")
 
 
-def _canonical_edges(f: io.BufferedIOBase, digest) -> tuple[int, int, array, array] | None:
-    """(n, m, us, vs) when the binary file `f` holds exactly the
-    `format_edge_list` text of a graph with at least one edge, whose edges
-    are (us[i], vs[i]); None for any other input. Every byte read from `f`
-    goes into `digest`, a hashlib object, so it is the file's sha256 when
-    (n, m, us, vs) is returned.
-
-    The file is read once, in chunks: the header line, then edge lines up to
-    the first newline `_CHUNK` or more bytes past the chunk's start. Each
-    chunk has its layout checked in C, and its numbers are parsed and checked
-    and enter the int32 arrays only after its ids are checked to be below
-    n <= MAX_VERTICES < 2**31. Only one chunk's bytes and numbers are alive
-    at a time, so the arrays (8 bytes per edge) are all that grows. A file
-    whose header has more than MAX_VERTICES vertices is a GraphError when the
-    rest has the canonical layout and m lines, found without parsing any
-    edge line; otherwise it is None too.
-    """
-    head = f.readline(_CHUNK)
-    digest.update(head)
-    # every line is digits, one space, digits, newline; an empty token or a
-    # leading zero is left to the JSON grammar
-    if head.translate(None, b"0123456789") != b" \n":
-        return None
+def _sorted_piece(lines: bytes, n: int, last: int) -> tuple[list[int], list[int]] | None:
+    """The edges of `lines`, canonical "u v" lines, as lists us, vs when each
+    id is below n, u < v, and the keys u*n + v rise from `last`; else None."""
     try:
-        n, m = _tokens(head[:-1])
-    except ValueError:  # a header token off the grammar
+        nums = _tokens(lines[:-1])
+    except ValueError:  # a token off the grammar
         return None
-    lines = 0
+    cu, cv = nums[::2], nums[1::2]
+    if max(cv) >= n or not all(map(lt, cu, cv)):
+        return None
+    keys = [last, *map(add, map(mul, cu, repeat(n)), cv)]
+    return (cu, cv) if all(map(lt, keys, keys[1:])) else None
+
+
+def _text(piece: bytes, start: int) -> str:
+    """`piece`, the bytes at offset `start` of a file, decoded as UTF-8."""
+    try:
+        return piece.decode()
+    except UnicodeDecodeError as exc:
+        # named by their offset in the file, as a decode of the whole file names them
+        at, to = start + exc.start, start + exc.end - 1
+        where = (f"byte 0x{piece[exc.start]:02x} in position {at}" if at == to
+                 else f"bytes in position {at}-{to}")
+        raise GraphError("edge-list input is not UTF-8: 'utf-8' codec can't decode "
+                         f"{where}: {exc.reason}") from None
+
+
+def _read_edges(f: io.BufferedIOBase, digest) -> tuple[int, array, array, bool]:
+    """(n, us, vs, exact): the binary file `f`, read once with the grammar and
+    messages of `parse_edge_list`, as int32 arrays of its edges (us[i], vs[i]),
+    u < v in increasing order, and whether it is exactly the canonical text,
+    whose sha256 the hashlib object `digest` then holds.
+
+    Pieces end at a newline: the first line, then `_CHUNK` bytes and the rest
+    of their last line. Canonical "u v" lines, once "\r\n" is "\n", are
+    parsed in C; other pieces are decoded and read line by line. The first
+    fault waits for the line count, reported before it, and only bytes that
+    are not UTF-8 precede a header fault. Edges out of order are sorted at
+    the end, where a repeat shows."""
+    n = m = fault = None
+    lines = end = 0
     us, vs = array("i"), array("i")
-    last = -1  # key of the previous chunk's last edge
-    while chunk := f.read(_CHUNK):
-        chunk += f.readline(_CHUNK)
-        digest.update(chunk)
-        k = chunk.count(b"\n")
-        # without the endswith test, digits after the last newline would pass
-        if not chunk.endswith(b"\n") or chunk.translate(None, b"0123456789") != b" \n" * k:
-            return None
-        lines += k
-        if lines > m:
-            return None
-        if n > MAX_VERTICES:
-            continue  # refused below if the rest has the canonical layout
-        try:
-            nums = _tokens(chunk[:-1])
-        except ValueError:  # a token off the grammar
-            return None
-        cu, cv = nums[::2], nums[1::2]
-        if max(cv) >= n or not all(map(lt, cu, cv)):
-            return None
-        # edges in strictly increasing (u, v) order: sorted and free of repeats
-        keys = [last, *map(add, map(mul, cu, repeat(n)), cv)]
-        if not all(map(lt, keys, keys[1:])):
-            return None
-        last = keys[-1]
-        us.fromlist(cu)
-        vs.fromlist(cv)
-    if lines != m or m == 0:
-        return None
-    _check_vertex_count(n)
-    return n, m, us, vs
+    last, ordered, exact = -1, True, True
+    for piece in chain([f.readline()], iter(lambda: f.read(_CHUNK) + f.readline(), b"")):
+        end += len(piece)
+        if exact:
+            digest.update(piece)
+        body = piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
+        k = body.count(b"\n")
+        # digits, one space, digits, newline on every line; JSON judges the tokens
+        if (m is not None and body.endswith(b"\n")
+                and body.translate(None, b"0123456789") == b" \n" * k):
+            if fault or (edges := _sorted_piece(body, n, last)):
+                lines += k  # after a fault, only the line count can matter
+                if not fault:
+                    us.fromlist(edges[0])
+                    vs.fromlist(edges[1])
+                    last = edges[0][-1] * n + edges[1][-1]
+                    exact = exact and body is piece
+                continue
+        exact = False
+        for raw in _text(piece, end - len(piece)).split("\n"):
+            # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
+            line = raw.removesuffix("\r").strip(" \t")
+            if not line or line.startswith("#"):
+                continue
+            if m is not None:
+                lines += 1
+                if fault:
+                    continue
+                try:
+                    u, v = _pair(line, "edge", "u v")
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                    if u == v:
+                        raise GraphError(f"self-loop at vertex {u}")
+                except GraphError as exc:
+                    fault = exc
+                    continue
+                ordered = ordered and last < u * n + v and u < v
+                last = u * n + v
+                us.append(u)
+                vs.append(v)
+            elif not fault:  # the header line
+                try:
+                    head = _pair(line, "header", "n m")
+                    if head[1] < 0:
+                        raise GraphError("edge count must be nonnegative")
+                    n, m = head
+                    exact = end == len(piece) and piece == b"%d %d\n" % head
+                    _check_vertex_count(n)
+                except GraphError as exc:
+                    fault = exc
+    if m is None:
+        raise fault or GraphError("empty edge-list input")
+    if lines != m:
+        raise GraphError(f"header declares {m} edges, found {lines} edge lines")
+    if fault:
+        raise fault
+    if not ordered:  # then not exact either
+        keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            seen: set[tuple[int, int]] = set()
+            for u, v in zip(us, vs):  # name the first repeat in file order
+                key = (u, v) if u < v else (v, u)
+                if key in seen:
+                    raise GraphError(f"duplicate edge ({u},{v})")
+                seen.add(key)
+        us, vs = array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
+    return n, us, vs, exact
 
 
 def _sorted_edges_graph(n: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
@@ -370,62 +395,38 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
 
     Returns (graph, ids, sha256): `graph` is induced on a set of input
     vertices that contains the d-core, `ids[i]` is the input id of its vertex
-    i, in ascending order, and `sha256` is the input's canonical hash.
+    i, in ascending order, and `sha256` is the hash of the input's canonical
+    text: the file's own sha256 when it is that text, else formatted.
 
-    A canonical file with 2m < d*n has average degree below d, so some vertex
-    lies outside the d-core. It is filtered on its edge arrays: each round
-    counts the degrees and drops every edge with an endpoint of degree below
-    d, and the first round that keeps more than half of its edges is the last.
-    Each round before it halves the edges, so all rounds together read at most
-    2m of them. Only the vertices of the surviving edges get adjacency lists.
-    A dropped edge has an endpoint outside the d-core that loses every edge
-    in the same round, so the survivors induce exactly the kept edges. Any
-    other canonical file is built whole from its edge arrays, with ids =
-    range(n), and its own sha256 is the canonical hash. A file that is not
-    canonical goes through `parse_edge_list`, decoded as UTF-8, and is kept
-    whole.
+    `_read_edges` reads every file once, into sorted edge arrays. When
+    2m < d*n some vertex lies outside the d-core, and the arrays are
+    filtered: each round drops every edge with an endpoint of degree below
+    d, and the first round that keeps more than half of its edges is the
+    last, so all rounds read at most 2m edges. A dropped edge has an end
+    outside the d-core that loses every edge in the same round, so the
+    survivors induce exactly the kept edges; only their ends get adjacency
+    lists. Other inputs are built whole, with ids = range(n). Degrees are
+    counted in one list of n ints; the first round reads all n vertices
+    only when n <= 2m, a later one the vertices the round before kept.
 
-    The rounds count degrees in one list of n ints, allocated once. The first
-    round reads the 2m edge ends and all n entries of that list, so it costs
-    O(n + m) time and 8n bytes: one edge under the header "10000000 1" costs
-    about a second and 76 MiB, still far below what the whole graph of that
-    file allocates. A later round reads only its own edges and the vertices
-    the round before kept, and finds each kept vertex's surviving edges by
-    bisecting the sorted `us` array.
-
-    A canonical file is read, hashed and parsed 16 KiB at a time and never
-    held whole: the filter's peak is the int32 edge arrays (8 bytes per
-    edge), the degree list and one chunk, about 13 bytes per edge under
-    tracemalloc on a planted shell of 100k edges. The graph built whole from
-    the file retains about 16 bytes per edge, its two tuple slots, and the
-    load peaks at about 26 bytes per edge on K_{300,300} and K_{1000,1000}:
-    the edge arrays and the lists still being built. A file that is not
-    canonical is read again, whole, for the line parser, and its bytes are
-    dropped once decoded. A pipe cannot be read twice, so it is read whole
-    before either path.
+    The filter peaks at the int32 arrays, the degree list and one piece:
+    about 13 bytes per edge under tracemalloc on a planted shell of 100k
+    edges, canonical or CRLF, and about 58 when its edges need the sort.
     """
     sha256 = hashlib.sha256()
-    with Path(path).open("rb") as file:
-        # a pipe is read whole first, as the line parser may read it again
-        f = file if file.seekable() else io.BytesIO(file.read())
-        edges = _canonical_edges(f, sha256)
-        if edges is None:  # the line parser reads the file again, whole
-            f.seek(0)
-            data = f.read()
-    if edges is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
-        del data
-        g = parse_edge_list(text)
-        return g, range(g.n), canonical_sha256(g)
+    with Path(path).open("rb") as f:
+        n, us, vs, exact = _read_edges(f, sha256)
+    m = len(us)
+    if not exact:  # the canonical text, formatted about a piece's lines at a time
+        sha256, edges = hashlib.sha256(b"%d %d\n" % (n, m)), zip(us, vs)
+        while text := b"".join(map(b"%d %d\n".__mod__, islice(edges, _CHUNK // 16))):
+            sha256.update(text)
     digest = sha256.hexdigest()
-    n, m, us, vs = edges
     if 2 * m >= d * n:
         return _sorted_edges_graph(n, us, vs), range(n), digest
     deg = [0] * n
-    high: Sequence[int] = range(n)
+    # under a header far above its edge count, the edge ends are the candidates
+    high: Sequence[int] = range(n) if n <= 2 * m else sorted({*us, *vs})
     while us:
         before = len(us)
         us, vs, high = _drop_low(us, vs, d, deg, high)

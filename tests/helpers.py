@@ -6,6 +6,7 @@ import hashlib
 import heapq
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, permutations
@@ -35,7 +36,6 @@ from densebip.graph import (
     format_edge_list,
     from_edge_list,
     load_graph,
-    parse_edge_list,
 )
 from densebip.reducer import EmptyCoreError, OrderedGraph, d_core, reduce_and_order
 from densebip.rng import stream
@@ -100,9 +100,88 @@ def reference_induced_subgraph(
     return Graph(adjacency), kept
 
 
+# The line parser that read every non-canonical file before the streaming
+# reader, copied verbatim and frozen: the reference for the grammar and its
+# messages, sharing no parsing code with `densebip.graph`
+_ID = re.compile(r"-?[0-9]+")
+_SEP = re.compile(r"[ \t]+")
+
+
+def _pair(line: str, kind: str, shape: str) -> tuple[int, int]:
+    parts = _SEP.split(line)
+    if len(parts) != 2:
+        raise GraphError(f"bad {kind} line {line!r}, expected {shape!r}")
+    try:
+        pair = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise GraphError(f"bad {kind} line {line!r}: {exc}") from None
+    for token in parts:
+        if not _ID.fullmatch(token):
+            raise GraphError(f"bad {kind} line {line!r}: {token!r} is not ASCII decimal")
+    return pair
+
+
+def _edge(line: str) -> tuple[int, int]:
+    return _pair(line, "edge", "u v")
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """Reference for `parse_edge_list`: the frozen line parser."""
+    rows = []
+    for raw in text.split("\n"):
+        # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
+        line = raw.removesuffix("\r").strip(" \t")
+        if not line or line.startswith("#"):
+            continue
+        rows.append(line)
+    if not rows:
+        raise GraphError("empty edge-list input")
+    n, m = _pair(rows[0], "header", "n m")
+    if m < 0:
+        raise GraphError("edge count must be nonnegative")
+    if len(rows) - 1 != m:
+        raise GraphError(f"header declares {m} edges, found {len(rows) - 1} edge lines")
+    g = from_edge_list(n, map(_edge, rows[1:]))
+    if g.m != m:
+        # from_edge_list collapsed a repeat; parse again to name the first one
+        seen: set[tuple[int, int]] = set()
+        for u, v in map(_edge, rows[1:]):
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            seen.add(key)
+    return g
+
+
 def reference_load_graph(path: str | Path) -> Graph:
-    """Reference for `load_graph`: every file through the line parser."""
-    return parse_edge_list(Path(path).read_text())
+    """Reference for `load_graph`: the whole file decoded as UTF-8, then the
+    frozen line parser."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
+    return reference_parse_edge_list(text)
+
+
+def crlf_form(text: str) -> str:
+    """`text` with a comment line first and CRLF line ends."""
+    return "# crlf\r\n" + text.replace("\n", "\r\n")
+
+
+def shuffled_form(text: str, seed: int) -> str:
+    """`text` with a comment line first, its edge lines in a seeded order,
+    every other one reversed, tabs between tokens, and a comment line after
+    every 1000th edge line."""
+    head, *lines = text.splitlines()
+    random.Random(seed).shuffle(lines)
+    out = ["# shuffled", head.replace(" ", "\t")]
+    for i, line in enumerate(lines, 1):
+        u, v = line.split()
+        out.append(f"{v}\t{u}" if i % 2 else f"{u}\t{v}")
+        if i % 1000 == 0:
+            out.append("# c")
+    return "\n".join(out) + "\n"
 
 
 def reference_filter_round(us, vs, d: int) -> tuple[list[int], list[int]]:

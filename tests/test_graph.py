@@ -31,6 +31,7 @@ from densebip.generators import complete_bipartite
 from densebip.reducer import d_core
 
 from helpers import (
+    crlf_form,
     cycle_graph,
     edges_within,
     graphs,
@@ -46,6 +47,8 @@ from helpers import (
     reference_filter_round,
     reference_induced_subgraph,
     reference_load_graph,
+    reference_parse_edge_list,
+    shuffled_form,
 )
 
 
@@ -380,21 +383,33 @@ class TestSerialization:
 
 
 @pytest.fixture(scope="module")
+def planted_100k():
+    return planted_shell(60_000, 8, 100_000, seed=7)
+
+
+@pytest.fixture(scope="module")
 def el_path(tmp_path_factory):
     # one file per module, rewritten by every hypothesis example
     return tmp_path_factory.mktemp("load") / "g.el"
 
 
 def _loaded(load, path):
-    """(graph, hash, read on the fast path) or the GraphError message."""
-    with mock.patch.object(densebip.graph, "parse_edge_list",
-                           wraps=densebip.graph.parse_edge_list) as parser:
+    """(graph, hash, read as canonical bytes) or the GraphError message."""
+    exact = []
+    read_edges = densebip.graph._read_edges
+
+    def spy(f, digest):
+        got = read_edges(f, digest)
+        exact.append(got[3])
+        return got
+
+    with mock.patch.object(densebip.graph, "_read_edges", spy):
         try:
             g = load(path)
         except GraphError as exc:
             return str(exc)
-    # the fast path builds the graph from its edge arrays, without the line parser
-    return g, reference_canonical_sha256(g), not parser.called
+    # only a file the reader found canonical is hashed as read
+    return g, reference_canonical_sha256(g), exact == [True]
 
 
 def _graph_or_error(path, raw):
@@ -467,7 +482,7 @@ class TestLoadGraph:
     def test_saved_graph_takes_fast_path(self, el_path, g):
         save_graph(g, el_path)
         loaded, digest, fast = _loaded(load_graph, el_path)
-        assert fast == (g.m > 0)
+        assert fast
         assert loaded == g == reference_load_graph(el_path)
         assert digest == canonical_sha256(loaded) == reference_canonical_sha256(g)
 
@@ -512,7 +527,7 @@ class TestLoadGraph:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
     @pytest.mark.parametrize("crlf", [False, True])
     def test_named_pipe(self, tmp_path, crlf):
-        # a pipe cannot be read twice: the line parser needs a copy of it
+        # a pipe is read once, like any file, canonical or not
         g = complete_bipartite(3, 3)
         raw = format_edge_list(g).encode()
         if crlf:
@@ -580,7 +595,8 @@ class TestVertexLimit:
         el_path.write_bytes(head + b"\n" + b"".join(b"0 %d\n" % v for v in range(1, m + 1)))
         with pytest.raises(GraphError, match=f"exceeds the limit of {MAX_VERTICES}"):
             load(el_path)
-        assert calls == [head]
+        # the header goes through the line parser, and the edge lines are only counted
+        assert calls == []
 
 
 def _core_ids(path, d):
@@ -687,8 +703,25 @@ class TestLoadCore:
         got, ids, digest = load_core(el_path, 2)
         assert got.n == 0 and list(ids) == [] and digest == canonical_sha256(g)
 
-    def test_peak_memory_per_edge(self, el_path):
-        g = planted_shell(60_000, 8, 100_000, seed=7)
+    def test_header_far_above_the_edge_count(self, el_path, monkeypatch):
+        # K_{3,3} and a pendant edge under a header of a million vertices:
+        # the first round takes its candidates from the 7 vertices the edges
+        # name, where reading range(n) took about 0.1 s (1.1 s at n = 10^7)
+        highs = []
+        drop_low = densebip.graph._drop_low
+
+        def spy(us, vs, d, deg, high):
+            highs.append(len(high))
+            return drop_low(us, vs, d, deg, high)
+
+        edges = [(u, v) for u in range(3) for v in range(3, 6)] + [(5, 999_999)]
+        el_path.write_text(f"1000000 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        monkeypatch.setattr(densebip.graph, "_drop_low", spy)
+        assert _core_ids(el_path, 3) == list(range(6))
+        assert highs[0] <= 2 * len(edges)
+
+    def test_peak_memory_per_edge(self, el_path, planted_100k):
+        g = planted_100k
         save_graph(g, el_path)
         tracemalloc.start()
         try:
@@ -701,6 +734,25 @@ class TestLoadCore:
         # one 16 KiB chunk; the whole file and two whole-file layout
         # temporaries alive beside them took about 23
         assert peak < 18 * g.m
+
+    @pytest.mark.parametrize("form, bound", [("crlf", 18), ("shuffled", 80)])
+    def test_peak_memory_per_edge_of_other_forms(self, el_path, planted_100k, form, bound):
+        g = planted_100k
+        text = format_edge_list(g)
+        text = crlf_form(text) if form == "crlf" else shuffled_form(text, seed=1)
+        el_path.write_bytes(text.encode())
+        tracemalloc.start()
+        try:
+            got, ids, digest = load_core(el_path, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.m == 64 and len(ids) == 16 and g.m >= 100_000
+        assert digest == reference_canonical_sha256(g)
+        # CRLF pieces take the canonical path once "\r\n" is "\n": about 13
+        # bytes per edge, as canonical. Shuffled edges are sorted once as int
+        # keys: about 58. The whole-file line parser took about 174 on both
+        assert peak < bound * g.m
 
     def test_whole_graph_memory_per_edge(self, el_path):
         g = complete_bipartite(300, 300)
@@ -827,9 +879,9 @@ class TestFilterRound:
 
 
 def _chunk_firsts(raw):
-    """Indices of the lines (the header is line 0) that begin a chunk of the
-    canonical loader: a chunk ends at the first newline `_CHUNK` or more bytes
-    past its start."""
+    """Indices of the lines (the header is line 0, a piece of its own) that
+    begin a piece of the reader: a piece ends at the first newline `_CHUNK`
+    or more bytes past its start."""
     firsts = []
     start = raw.index(b"\n") + 1
     while start < len(raw):
@@ -882,6 +934,89 @@ def shell_text():
     return format_edge_list(planted_shell(4_000, 8, 4_250, seed=5))
 
 
+def _line_edit(lines, i, edit):
+    """Line i of `lines` after one edit: a fault or an accepted variant."""
+    n = lines[0].split()[0]
+    u, v = lines[i].split()
+    return {
+        "malformed": "x y",
+        "out of range": f"{u} {n}",
+        "self-loop": f"{u} {u}",
+        "repeat": lines[i - 1],
+        "not UTF-8": "# \udcff\n" + lines[i],
+        "truncated UTF-8": "# \udce2\udc82\n" + lines[i],
+        "reversed": f"{v} {u}",
+        "tab and CR": f"{u}\t{v}\r",
+        "leading zero": f"0{u} {v}",
+        "none": lines[i],
+    }[edit]
+
+
+def _header_edit(lines, edit):
+    n, m = lines[0].split()
+    return {
+        "none": lines[0],
+        "wrong m": f"{n} {int(m) + 1}",
+        "malformed": f"{n} {m} 0",
+        # the first piece is the first line: the header is in the next one
+        "comment first": f"# first\n{lines[0]}",
+    }[edit]
+
+
+def _edited(lines, header, *edits):
+    """The bytes of `lines` with the header edit and each (i, edit) applied;
+    a lone surrogate stands for the byte it escapes."""
+    out = list(lines)
+    out[0] = _header_edit(lines, header)
+    for i, edit in edits:
+        out[i] = _line_edit(lines, i, edit)
+    return ("\n".join(out) + "\n").encode("utf-8", "surrogateescape")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return str(exc)
+
+
+def _matches_reference(path, raw):
+    """Load `raw` as a file and parse it as text, and check the graph, hash
+    or GraphError message against the frozen line parser's; returns the
+    reference's."""
+    path.write_bytes(raw)
+    got = _loaded(load_graph, path)
+    want = _loaded(reference_load_graph, path)
+    if isinstance(want, str):
+        assert got == want
+        with pytest.raises(GraphError, match=re.escape(want)):
+            load_core(path, 8)
+    else:
+        assert got[:2] == want[:2]
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError:
+        return want
+    assert _parsed(parse_edge_list, text) == _parsed(reference_parse_edge_list, text)
+    return want
+
+
+# (header edit, edit in the first edge piece, edit in the last, the fault
+# reported); the text has at least three edge pieces, so the two edits lie
+# in different pieces
+TWO_FAULTS = {
+    "malformed line early, wrong m": ("wrong m", "malformed", "none", "header declares"),
+    "out of range before a repeat": ("none", "out of range", "repeat", "out of range"),
+    "repeat early, malformed line late": ("none", "repeat", "malformed", "bad edge line"),
+    "comment-only first line, two faulty lines": (
+        "comment first", "self-loop", "out of range", "self-loop"),
+    "not UTF-8 after a malformed header": ("malformed", "none", "not UTF-8", "not UTF-8"),
+    "not UTF-8 late, after a malformed line": (
+        "none", "malformed", "truncated UTF-8", "not UTF-8"),
+    "not UTF-8 late, after a repeat": ("none", "repeat", "not UTF-8", "not UTF-8"),
+}
+
+
 class TestChunkBoundaries:
     def test_chunks_begin_where_the_edits_expect(self, shell_text, monkeypatch):
         raw = shell_text.encode()
@@ -893,10 +1028,11 @@ class TestChunkBoundaries:
             return tokens(lines)
 
         monkeypatch.setattr(densebip.graph, "_tokens", spy)
-        assert densebip.graph._canonical_edges(io.BytesIO(raw), hashlib.sha256()) is not None
+        assert densebip.graph._read_edges(io.BytesIO(raw), hashlib.sha256())[3]
         lines = raw.split(b"\n")
         assert len(_chunk_firsts(raw)) >= 3
-        assert firsts == [lines[0], *(lines[i] for i in _chunk_firsts(raw))]
+        # the header line is parsed apart, by the line parser
+        assert firsts == [lines[i] for i in _chunk_firsts(raw)]
 
     @pytest.mark.parametrize("edit", sorted(CHUNK_EDITS))
     def test_edit_at_each_boundary_matches_reference(self, el_path, shell_text, edit):
@@ -923,15 +1059,38 @@ class TestChunkBoundaries:
             assert fast == (raw == format_edge_list(loaded).encode()) == (edit == "none")
             assert len(_core_ids(el_path, 8)) == 16
 
-    def test_parse_peak_memory_per_edge(self):
-        g = planted_shell(60_000, 8, 100_000, seed=7)
+    def test_parse_peak_memory_per_edge(self, planted_100k):
+        g = planted_100k
         raw = format_edge_list(g).encode()
         tracemalloc.start()
         try:
-            edges = densebip.graph._canonical_edges(io.BytesIO(raw), hashlib.sha256())
+            edges = densebip.graph._read_edges(io.BytesIO(raw), hashlib.sha256())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert edges[1] == g.m >= 100_000
+        assert len(edges[1]) == g.m >= 100_000 and edges[3]
         # a whole-file token list takes about 100 bytes per edge
         assert peak < 40 * g.m
+
+    @pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+    def test_two_faults_in_different_pieces_match_reference(self, el_path, shell_text,
+                                                            case):
+        # the first fault is kept while the lines are counted, and bytes that
+        # are not UTF-8 are named by their offset in the file
+        header, early, late, fault = TWO_FAULTS[case]
+        lines = shell_text.splitlines()
+        j = _chunk_firsts(shell_text.encode())[-1] + 2
+        want = _matches_reference(el_path, _edited(lines, header, (3, early), (j, late)))
+        assert fault in want
+
+    @given(st.data())
+    def test_two_edits_in_different_pieces_match_reference(self, el_path, shell_text, data):
+        lines = shell_text.splitlines()
+        firsts = _chunk_firsts(shell_text.encode())
+        edit = st.sampled_from(["malformed", "out of range", "self-loop", "repeat",
+                                "not UTF-8", "truncated UTF-8", "reversed", "tab and CR",
+                                "leading zero", "none"])
+        early = data.draw(st.integers(2, firsts[1] - 1)), data.draw(edit)
+        late = data.draw(st.integers(firsts[1] + 1, len(lines) - 1)), data.draw(edit)
+        header = data.draw(st.sampled_from(["none", "wrong m", "malformed", "comment first"]))
+        _matches_reference(el_path, _edited(lines, header, early, late))
