@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add, floordiv, lt, mod, mul
 from pathlib import Path
 
@@ -259,6 +259,12 @@ def _text(piece: bytes, start: int) -> str:
                          f"{where}: {exc.reason}") from None
 
 
+def _pieces(f: io.BufferedIOBase) -> Iterator[bytes]:
+    """The pieces of `_read_edges`, none of them kept here once yielded."""
+    yield f.readline()
+    yield from iter(lambda: f.read(_CHUNK) + f.readline(), b"")
+
+
 def _read_edges(f: io.BufferedIOBase, digest) -> tuple[int, array, array, bool]:
     """(n, us, vs, exact): the binary file `f`, read once with the grammar and
     messages of `parse_edge_list`, as int32 arrays of its edges (us[i], vs[i]),
@@ -275,8 +281,8 @@ def _read_edges(f: io.BufferedIOBase, digest) -> tuple[int, array, array, bool]:
     lines = end = 0
     us, vs = array("i"), array("i")
     last, ordered, exact = -1, True, True
-    for piece in chain([f.readline()], iter(lambda: f.read(_CHUNK) + f.readline(), b"")):
-        end += len(piece)
+    for piece in _pieces(f):
+        start, end = end, end + len(piece)
         if exact:
             digest.update(piece)
         body = piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
@@ -293,7 +299,9 @@ def _read_edges(f: io.BufferedIOBase, digest) -> tuple[int, array, array, bool]:
                     exact = exact and body is piece
                 continue
         exact = False
-        for raw in _text(piece, end - len(piece)).split("\n"):
+        text = _text(piece, start)
+        del piece, body  # a long line is then held only as its text and its lines
+        for raw in text.split("\n"):
             # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
             line = raw.removesuffix("\r").strip(" \t")
             if not line or line.startswith("#"):
@@ -321,7 +329,7 @@ def _read_edges(f: io.BufferedIOBase, digest) -> tuple[int, array, array, bool]:
                     if head[1] < 0:
                         raise GraphError("edge count must be nonnegative")
                     n, m = head
-                    exact = end == len(piece) and piece == b"%d %d\n" % head
+                    exact = start == 0 and text == "%d %d\n" % head
                     _check_vertex_count(n)
                 except GraphError as exc:
                     fault = exc

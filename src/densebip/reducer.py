@@ -133,7 +133,7 @@ def _peel(
     alive: list[bool],
     stack: list[int],
     d: int,
-    keepers: bytearray | None = None,
+    keepers: bytearray,
 ) -> tuple[list[int], list[int], bool]:
     """Delete the vertices on `stack`, then every vertex whose degree drops below d.
 
@@ -141,6 +141,7 @@ def _peel(
     (killed, decremented, stopped): every deleted vertex, one entry per degree
     decrement, which together are enough to undo the peel, and whether the
     peel stopped early because it killed a vertex marked in `keepers`.
+    `keepers` is always given; `d_core` marks no vertex in it.
     """
     killed = list(stack)
     for v in killed:
@@ -155,7 +156,7 @@ def _peel(
                 if deg[w] < d:
                     alive[w] = False
                     killed.append(w)
-                    if keepers is not None and keepers[w]:
+                    if keepers[w]:
                         return killed, decremented, True
                     stack.append(w)
     return killed, decremented, False
@@ -170,7 +171,7 @@ def d_core(g: Graph, d: int) -> tuple[int, ...]:
         raise ValueError("d must be nonnegative")
     deg = [len(nbrs) for nbrs in g.adjacency]
     alive = [True] * g.n
-    _peel(g.adjacency, deg, alive, [v for v in range(g.n) if deg[v] < d], d)
+    _peel(g.adjacency, deg, alive, [v for v in range(g.n) if deg[v] < d], d, bytearray(g.n))
     return tuple(v for v in range(g.n) if alive[v])
 
 
@@ -208,16 +209,14 @@ def minimal_min_degree_subgraph(g: Graph, d: int) -> tuple[Graph, tuple[int, ...
         raise EmptyCoreError(f"the {d}-core of the input is empty")
     n = g.n
     adjacency = g.adjacency
-    if len(core) == n:  # nothing peeled: every neighbour is live
-        alive = [True] * n
-        deg = [len(nbrs) for nbrs in adjacency]
-    else:
-        alive = [False] * n
-        for v in core:
-            alive[v] = True
-        deg = [0] * n
-        for v in core:
-            deg[v] = sum(1 for w in adjacency[v] if alive[w])
+    alive = [False] * n
+    for v in core:
+        alive[v] = True
+    deg = [len(nbrs) for nbrs in adjacency]
+    for v, live in enumerate(alive):
+        if not live:  # peeled by d_core: its edges leave its neighbours' degrees
+            for w in adjacency[v]:
+                deg[w] -= 1
 
     keepers = bytearray(n)
     live = len(core)

@@ -5,10 +5,11 @@ meaning depends on the claim: lower-bound claims pass when the interval clears
 the target, identities pass when the interval contains it. All checks are
 deterministic given (seed, trials) and independent of the worker count: trial
 i draws from its own stream `stream(seed, i)` and `iter_indexed` yields the
-results in index order, whichever process computed them. With workers > 1
-the trials fan out to a process pool that receives the shared arguments once,
-through its initializer, so tasks carry only indices; `concurrent.futures` is
-imported only when a pool is opened. `extract` runs its trials serially.
+results in index order, whichever process computed them. Each driver binds
+its trial, a module-level function or a `partial` of one, to all but the
+index. With workers > 1 a process pool receives the bound trial once,
+through its initializer, so tasks carry only indices; `concurrent.futures`
+is imported only when a pool is opened. `extract` runs its trials serially.
 
 Every driver reads its trials in one pass and keeps only its fold: the
 proportion checks keep counts, and the mean checks keep one float per trial
@@ -32,6 +33,7 @@ import statistics
 from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
+from functools import partial
 from itertools import combinations
 
 from .extractor import (
@@ -79,42 +81,40 @@ class MarkovBound(namedtuple("MarkovBound", "mean_missing frac_high_missing ell 
     __slots__ = ()
 
 
-_WORK: tuple[Callable, object] | None = None
+_WORK: Callable[[int], object] | None = None
 
 
-def _init_worker(fn: Callable, args: object) -> None:
+def _init_worker(trial: Callable[[int], object]) -> None:
     global _WORK
-    _WORK = (fn, args)
+    _WORK = trial
 
 
 def _run_index(index: int):
-    fn, args = _WORK  # type: ignore[misc]
-    return fn(args, index)
+    return _WORK(index)  # type: ignore[misc]
 
 
-def iter_indexed(fn: Callable[[object, int], object], args: object, count: int,
+def iter_indexed(trial: Callable[[int], object], count: int,
                  workers: int = 1) -> Iterator[object]:
-    """Yield fn(args, index) for index in range(count), in index order.
+    """Yield trial(index) for index in range(count), in index order.
 
     A pool opens only for two or more indices, with at most
     min(workers, count, os.cpu_count()) processes: a fork pool starts all of
     them on the first task, and more processes than CPUs or tasks only wait.
     Every index goes to it in one `map`, in about four chunks per process:
     each consumer reads all of the trials, so no index is computed in vain.
-    `fn` must be a picklable module-level function.
+    `trial` must pickle: a module-level function or a `partial` of one.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     workers = min(workers, count, os.cpu_count() or 1)
     if workers <= 1:
-        for i in range(count):
-            yield fn(args, i)
+        yield from map(trial, range(count))
         return
     import concurrent.futures as cf
 
     chunk = -(-count // (4 * workers))
     with cf.ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(fn, args)
+        max_workers=workers, initializer=_init_worker, initargs=(trial,)
     ) as pool:
         yield from pool.map(_run_index, range(count), chunksize=chunk)
 
@@ -205,8 +205,8 @@ def _forced_outcome(og: OrderedGraph, params: Params, y: int, free: list[int], f
     return bool(_supported_mask(og, survivor_set, 1 << y, params.threshold)), missing
 
 
-def _conditional_worker(args, index: int) -> tuple[bool, int]:
-    og, params, y, free, seed = args
+def _conditional_trial(og: OrderedGraph, params: Params, y: int, free: list[int], seed: int,
+                       index: int) -> tuple[bool, int]:
     rng = stream(seed, index)
     # the forced subset is drawn first, uniformly among ell-subsets
     return _forced_outcome(og, params, y, free, rng.sample(og.candidate_sets[y], params.ell), rng)
@@ -218,8 +218,8 @@ def _conditional_outcomes(og: OrderedGraph, params: Params, y: int, trials: int,
     subset, in index order: the one pass of `mc_conditional` and
     `mc_markov_bound`."""
     _require_conditionable(og, params, y, trials)
-    args = (og, params, y, _free_vertices(og, y), seed)
-    return iter_indexed(_conditional_worker, args, trials, workers)
+    trial = partial(_conditional_trial, og, params, y, _free_vertices(og, y), seed)
+    return iter_indexed(trial, trials, workers)
 
 
 def mc_conditional(
@@ -237,8 +237,8 @@ def mc_conditional(
     return Estimate(successes / trials, trials, low, high, CONDITIONAL_TARGET, low > CONDITIONAL_TARGET)
 
 
-def _sweep_worker(args, index: int) -> bool:
-    og, params, y, free, seed, subsets, trials = args
+def _sweep_trial(og: OrderedGraph, params: Params, y: int, free: list[int], seed: int,
+                 subsets: tuple[tuple[int, ...], ...], trials: int, index: int) -> bool:
     ok, _ = _forced_outcome(og, params, y, free, subsets[index // trials], stream(seed, index))
     return ok
 
@@ -266,8 +266,8 @@ def mc_conditional_sweep(
         raise ValueError(f"{count} forced subsets exceed the sweep cap {cap}")
     subsets = tuple(combinations(og.candidate_sets[y], params.ell))
     counts = [0] * count
-    args = (og, params, y, _free_vertices(og, y), seed, subsets, trials)
-    for index, ok in enumerate(iter_indexed(_sweep_worker, args, count * trials, workers)):
+    trial = partial(_sweep_trial, og, params, y, _free_vertices(og, y), seed, subsets, trials)
+    for index, ok in enumerate(iter_indexed(trial, count * trials, workers)):
         counts[index // trials] += ok
     worst_index = min(range(count), key=lambda i: (counts[i], subsets[i]))
     low, high = wilson_interval(counts[worst_index], trials)
@@ -292,8 +292,7 @@ def mc_markov_bound(
     return MarkovBound(total_missing / trials, high_missing / trials, params.ell, trials)
 
 
-def _survival_worker(args, index: int) -> int:
-    og, params, x, seed = args
+def _survival_trial(og: OrderedGraph, params: Params, x: int, seed: int, index: int) -> int:
     return 0 if sampled_members(stream(seed, index), og.left_neighbors[x], params.d) else 1
 
 
@@ -310,15 +309,14 @@ def mc_per_vertex_survival(
     require_compatible(og, params)
     require_vertex(og, x)
     successes = 0
-    for r in iter_indexed(_survival_worker, (og, params, x, seed), trials, workers):
+    for r in iter_indexed(partial(_survival_trial, og, params, x, seed), trials, workers):
         successes += r
     low, high = wilson_interval(successes, trials)
     target = survival_probability(params.d, exposures=len(og.left_neighbors[x]))
     return Estimate(successes / trials, trials, low, high, target, low <= target <= high)
 
 
-def _edge_identity_worker(args, index: int) -> int:
-    og, params, seed = args
+def _edge_identity_trial(og: OrderedGraph, params: Params, seed: int, index: int) -> int:
     sampled = sampled_members(stream(seed, index), range(og.graph.n), params.d)
     return _edges_within(og, _layer_mask(og, sampled, params.ell))
 
@@ -335,14 +333,14 @@ def mc_edge_identity(
     require_compatible(og, params)
     if not og.graph.is_triangle_free():
         raise ValueError("edge identity requires a triangle-free graph")
-    values = array("d", iter_indexed(_edge_identity_worker, (og, params, seed), trials, workers))
+    trial = partial(_edge_identity_trial, og, params, seed)
+    values = array("d", iter_indexed(trial, trials, workers))
     mu, low, high = mean_interval(values)
     target = float(params.q * params.q * og.graph.m)
     return Estimate(mu, trials, low, high, target, low <= target <= high)
 
 
-def _potential_worker(args, index: int) -> int:
-    og, params, seed = args
+def _potential_trial(og: OrderedGraph, params: Params, seed: int, index: int) -> int:
     return _trial_numerator(og, params, stream(seed, index))
 
 
@@ -363,7 +361,7 @@ def mc_potential(
     den = _potential_denominator(params)
     successes = 0
     values = array("d")
-    for num in iter_indexed(_potential_worker, (og, params, seed), trials, workers):
+    for num in iter_indexed(partial(_potential_trial, og, params, seed), trials, workers):
         successes += num > 0
         values.append(num / den)
     mu, low, high = mean_interval(values)

@@ -1,8 +1,8 @@
+import decimal
 import math
 import pickle
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,9 +54,12 @@ from helpers import (
 )
 
 
+_HIGHPREC = decimal.Context(prec=50)
+
+
 def hit_target_highprec(d: int) -> int:
-    mp.mp.dps = 50
-    return int(mp.floor(mp.log(d) / mp.log(mp.log(d))))
+    ln_d = _HIGHPREC.ln(decimal.Decimal(d))
+    return math.floor(_HIGHPREC.divide(ln_d, _HIGHPREC.ln(ln_d)))
 
 
 class FixedRng:

@@ -769,6 +769,24 @@ class TestLoadCore:
         assert peak < 48 * g.m
         assert retained < 24 * g.m
 
+    @pytest.mark.parametrize("form, bound", [
+        ("{long}\n3 1\n0 1\n", 45), ("3 1\n{long}\n0 1\n", 45),
+        ("{long}\r\n3 1\r\n0 1\r\n", 64),
+    ], ids=["LF-first", "LF-second", "CRLF-first"])
+    def test_long_line_memory(self, el_path, form, bound):
+        # a 20 MB comment line peaks at about 38.7 MiB, as its bytes then its
+        # text beside its split lines; CRLF strips a copy more, 57.2 MiB. With
+        # the bytes kept through the line loop, 57.2 and 76.3
+        el_path.write_bytes(form.format(long="# " + "x" * 20_000_000).encode())
+        tracemalloc.start()
+        try:
+            got, _, _ = load_core(el_path, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.m == 1
+        assert peak < bound * 2**20
+
 
 @st.composite
 def big_id_graphs(draw):

@@ -1,9 +1,11 @@
 import concurrent.futures
 import math
+import multiprocessing
 import operator
 import os
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -487,14 +489,29 @@ def test_every_check_deterministic_given_seed_and_trials():
 def test_pool_yields_the_serial_values(count, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
     # 11 indices at 2 workers: chunks of 2, the last one short
-    serial = list(iter_indexed(operator.pow, 3, count))
+    serial = list(iter_indexed(partial(operator.pow, 3), count))
     assert serial == [3**i for i in range(count)]
-    assert list(iter_indexed(operator.pow, 3, count, workers=2)) == serial
+    assert list(iter_indexed(partial(operator.pow, 3), count, workers=2)) == serial
+
+
+def test_spawn_pool_yields_the_serial_values(monkeypatch):
+    # a spawn pool pickles the bound trial and the ordered core with its
+    # prefilled masks; a fork pool inherits them unpickled
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    og, _ = reduce_and_order(c5_blowup(12), 24)
+    assert og.__dict__["neighbor_masks"]
+    params = derive_params(24, True)
+    for check, args in ((mc_potential, ()), (mc_conditional, (0,))):
+        serial = check(og, params, *args, 100, seed=5, workers=1)
+        assert check(og, params, *args, 100, seed=5, workers=2) == serial
 
 
 def test_negative_count_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        list(iter_indexed(operator.pow, 3, -1))
+        list(iter_indexed(partial(operator.pow, 3), -1))
 
 
 @pytest.mark.parametrize("workers, count, cpus, opened", [
@@ -526,5 +543,6 @@ def test_pool_is_bounded_by_cpus_and_indices(monkeypatch, workers, count, cpus, 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(densebip.stats, "_WORK", None)
-    assert list(iter_indexed(operator.pow, 3, count, workers)) == [3**i for i in range(count)]
+    got = list(iter_indexed(partial(operator.pow, 3), count, workers))
+    assert got == [3**i for i in range(count)]
     assert sizes == opened
