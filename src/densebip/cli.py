@@ -271,7 +271,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the 0-core is the whole graph, and load_core hashes a canonical file's bytes
+    # the 0-core is the whole graph; the reader hashes edges in order as it reads them
     g, _, sha256 = load_core(args.infile, 0)
     side_i = _parse_id_list(args.I)
     side_j = _parse_id_list(args.J)

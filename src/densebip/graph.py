@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, repeat
-from operator import add, floordiv, lt, mod, mul
+from operator import add, floordiv, lt, mod, mul, ne
 from pathlib import Path
 
 # Every vertex gets an adjacency list, isolated or not, so a header alone could
@@ -191,10 +191,10 @@ def parse_edge_list(text: str) -> Graph:
     vertex ids are 0-based. Each edge is listed once, in either
     orientation; a repeated edge is an error, not collapsed. The first
     malformed, out-of-range or self-loop edge line is the one reported; a
-    repeat is reported only when every line passes those checks. `text`
-    goes through the reader of `load_graph`, encoded as UTF-8.
+    repeat is reported only when every line passes those checks. `text` goes
+    through the reader of `load_graph` as UTF-8, and its hash is dropped.
     """
-    n, us, vs, _ = _read_edges(io.BytesIO(text.encode("utf-8", "surrogatepass")), hashlib.sha256())
+    n, us, vs, _ = _read_edges(io.BytesIO(text.encode("utf-8", "surrogatepass")))
     return _sorted_edges_graph(n, us, vs)
 
 
@@ -221,6 +221,8 @@ _COMMAS = bytes.maketrans(b" \n", b",,")
 # newline this far past its start, so only one piece's bytes and int objects
 # are alive at a time
 _CHUNK = 1 << 14
+# bytes of the longest canonical edge line, "9999998 9999999\n" under MAX_VERTICES
+_LINE = 2 * len(str(MAX_VERTICES - 1)) + 2
 
 
 def _tokens(lines: bytes) -> list[int]:
@@ -232,18 +234,18 @@ def _tokens(lines: bytes) -> list[int]:
     return json.loads(b"[" + lines.translate(_COMMAS) + b"]")
 
 
-def _sorted_piece(lines: bytes, n: int, last: int) -> tuple[list[int], list[int]] | None:
-    """The edges of `lines`, canonical "u v" lines, as lists us, vs when each
-    id is below n, u < v, and the keys u*n + v rise from `last`; else None."""
+def _layout_edges(lines: bytes, n: int) -> tuple[list[int], list[int], bool] | None:
+    """The edges of `lines`, canonical-layout "u v" lines, as lists us, vs and
+    whether each u < v; None for a token off the grammar, an id >= n or a self-loop."""
     try:
         nums = _tokens(lines[:-1])
     except ValueError:  # a token off the grammar
         return None
     cu, cv = nums[::2], nums[1::2]
-    if max(cv) >= n or not all(map(lt, cu, cv)):
+    forward = all(map(lt, cu, cv))
+    if (max(cv) if forward else max(nums)) >= n or not (forward or all(map(ne, cu, cv))):
         return None
-    keys = [last, *map(add, map(mul, cu, repeat(n)), cv)]
-    return (cu, cv) if all(map(lt, keys, keys[1:])) else None
+    return cu, cv, forward
 
 
 def _text(piece: bytes, start: int) -> str:
@@ -265,91 +267,102 @@ def _pieces(f: io.BufferedIOBase) -> Iterator[bytes]:
     yield from iter(lambda: f.read(_CHUNK) + f.readline(), b"")
 
 
-def _read_edges(f: io.BufferedIOBase, digest) -> tuple[int, array, array, bool]:
-    """(n, us, vs, exact): the binary file `f`, read once with the grammar and
+def _read_edges(f: io.BufferedIOBase) -> tuple[int, array, array, str]:
+    """(n, us, vs, sha256): the binary file `f`, read once with the grammar and
     messages of `parse_edge_list`, as int32 arrays of its edges (us[i], vs[i]),
-    u < v in increasing order, and whether it is exactly the canonical text,
-    whose sha256 the hashlib object `digest` then holds.
+    u < v in increasing order, and the sha256 hex digest of its canonical text.
 
     Pieces end at a newline: the first line, then `_CHUNK` bytes and the rest
-    of their last line. Canonical "u v" lines, once "\r\n" is "\n", are
-    parsed in C; other pieces are decoded and read line by line. The first
-    fault waits for the line count, reported before it, and only bytes that
-    are not UTF-8 precede a header fault. Edges out of order are sorted at
-    the end, where a repeat shows."""
+    of their last line. Layout alone picks the parser: "u v" lines, once
+    "\r\n" is "\n", are parsed in C in any order; other pieces, and those
+    `_layout_edges` turns away, are decoded and read line by line. While the
+    edges are in order each piece is hashed as read, else `_sort_and_hash`
+    runs at the end. The first fault waits for the line count, reported
+    before it, and only bytes that are not UTF-8 precede a header fault."""
     n = m = fault = None
     lines = end = 0
     us, vs = array("i"), array("i")
-    last, ordered, exact = -1, True, True
+    last, digest = -1, hashlib.sha256()  # last is None once the edges are out of order
     for piece in _pieces(f):
         start, end = end, end + len(piece)
-        if exact:
-            digest.update(piece)
         body = piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
         k = body.count(b"\n")
-        # digits, one space, digits, newline on every line; JSON judges the tokens
-        if (m is not None and body.endswith(b"\n")
-                and body.translate(None, b"0123456789") == b" \n" * k):
-            if fault or (edges := _sorted_piece(body, n, last)):
-                lines += k  # after a fault, only the line count can matter
-                if not fault:
-                    us.fromlist(edges[0])
-                    vs.fromlist(edges[1])
-                    last = edges[0][-1] * n + edges[1][-1]
-                    exact = exact and body is piece
-                continue
-        exact = False
-        text = _text(piece, start)
-        del piece, body  # a long line is then held only as its text and its lines
-        for raw in text.split("\n"):
-            # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
-            line = raw.removesuffix("\r").strip(" \t")
-            if not line or line.startswith("#"):
-                continue
-            if m is not None:
-                lines += 1
-                if fault:
+        # digits, one space, digits, newline on every line, no longer on average
+        # than a canonical line (so a long line is not copied); JSON judges the tokens
+        if (m is not None and len(body) <= _LINE * k and body.endswith(b"\n")
+                and body.translate(None, b"0123456789") == b" \n" * k
+                and (fault or (edges := _layout_edges(body, n)))):
+            lines += k  # after a fault, only the line count can matter
+            pu, pv, forward = ([], [], False) if fault else edges
+        else:
+            body, pu, pv = b"", [], []  # a long line is then held as its bytes and text
+            text = _text(piece, start)
+            del piece  # then as its text and one line
+            for raw in text.split("\n"):
+                # str.splitlines and str.strip would also take "\x1c", "\x85" or "\u2028"
+                if raw.lstrip(" \t").startswith("#"):
                     continue
-                try:
-                    u, v = _pair(line, "edge", "u v")
-                    if not (0 <= u < n and 0 <= v < n):
-                        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-                    if u == v:
-                        raise GraphError(f"self-loop at vertex {u}")
-                except GraphError as exc:
-                    fault = exc
+                line = raw.removesuffix("\r").strip(" \t")
+                if not line:
                     continue
-                ordered = ordered and last < u * n + v and u < v
-                last = u * n + v
-                us.append(u)
-                vs.append(v)
-            elif not fault:  # the header line
-                try:
-                    head = _pair(line, "header", "n m")
-                    if head[1] < 0:
-                        raise GraphError("edge count must be nonnegative")
-                    n, m = head
-                    exact = start == 0 and text == "%d %d\n" % head
-                    _check_vertex_count(n)
-                except GraphError as exc:
-                    fault = exc
+                if m is not None:
+                    lines += 1
+                    if fault:
+                        continue
+                    try:
+                        u, v = _pair(line, "edge", "u v")
+                        if not (0 <= u < n and 0 <= v < n):
+                            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                        if u == v:
+                            raise GraphError(f"self-loop at vertex {u}")
+                    except GraphError as exc:
+                        fault = exc
+                        continue
+                    pu.append(u)
+                    pv.append(v)
+                elif not fault:  # the header line
+                    try:
+                        head = _pair(line, "header", "n m")
+                        if head[1] < 0:
+                            raise GraphError("edge count must be nonnegative")
+                        n, m = head
+                        digest.update(b"%d %d\n" % head)
+                        _check_vertex_count(n)
+                    except GraphError as exc:
+                        fault = exc
+            forward = all(map(lt, pu, pv))
+        us.fromlist(pu)
+        vs.fromlist(pv)
+        keys = forward and last is not None and [last, *map(add, map(mul, pu, repeat(n)), pv)]
+        last = keys[-1] if keys and all(map(lt, keys, islice(keys, 1, None))) else None
+        if last is not None:
+            digest.update(body or b"".join(map(b"%d %d\n".__mod__, zip(pu, pv))))
     if m is None:
         raise fault or GraphError("empty edge-list input")
     if lines != m:
         raise GraphError(f"header declares {m} edges, found {lines} edge lines")
     if fault:
         raise fault
-    if not ordered:  # then not exact either
-        keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            seen: set[tuple[int, int]] = set()
-            for u, v in zip(us, vs):  # name the first repeat in file order
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    raise GraphError(f"duplicate edge ({u},{v})")
-                seen.add(key)
-        us, vs = array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
-    return n, us, vs, exact
+    return _sort_and_hash(n, us, vs) if last is None else (n, us, vs, digest.hexdigest())
+
+
+def _sort_and_hash(n: int, us: array, vs: array) -> tuple[int, array, array, str]:
+    """`_read_edges`' result for edges read out of order, where a repeat shows;
+    the canonical text is formatted once, about a piece's lines at a time."""
+    keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        seen: set[tuple[int, int]] = set()
+        for u, v in zip(us, vs):  # name the first repeat in file order
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            seen.add(key)
+    us, vs = array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
+    del keys  # so that the formatting below runs beside the arrays alone
+    digest, edges = hashlib.sha256(b"%d %d\n" % (n, len(us))), zip(us, vs)
+    while text := b"".join(map(b"%d %d\n".__mod__, islice(edges, _CHUNK // _LINE))):
+        digest.update(text)
+    return n, us, vs, digest.hexdigest()
 
 
 def _sorted_edges_graph(n: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
@@ -404,9 +417,8 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     Returns (graph, ids, sha256): `graph` is induced on a set of input
     vertices that contains the d-core, `ids[i]` is the input id of its vertex
     i, in ascending order, and `sha256` is the hash of the input's canonical
-    text: the file's own sha256 when it is that text, else formatted.
-
-    `_read_edges` reads every file once, into sorted edge arrays. When
+    text, which `_read_edges` takes as it reads the file once, into sorted
+    edge arrays; this function only filters and builds. When
     2m < d*n some vertex lies outside the d-core, and the arrays are
     filtered: each round drops every edge with an endpoint of degree below
     d, and the first round that keeps more than half of its edges is the
@@ -419,17 +431,11 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
 
     The filter peaks at the int32 arrays, the degree list and one piece:
     about 13 bytes per edge under tracemalloc on a planted shell of 100k
-    edges, canonical or CRLF, and about 58 when its edges need the sort.
+    edges, canonical or CRLF, and about 59 when its edges need the sort.
     """
-    sha256 = hashlib.sha256()
     with Path(path).open("rb") as f:
-        n, us, vs, exact = _read_edges(f, sha256)
+        n, us, vs, digest = _read_edges(f)
     m = len(us)
-    if not exact:  # the canonical text, formatted about a piece's lines at a time
-        sha256, edges = hashlib.sha256(b"%d %d\n" % (n, m)), zip(us, vs)
-        while text := b"".join(map(b"%d %d\n".__mod__, islice(edges, _CHUNK // 16))):
-            sha256.update(text)
-    digest = sha256.hexdigest()
     if 2 * m >= d * n:
         return _sorted_edges_graph(n, us, vs), range(n), digest
     deg = [0] * n

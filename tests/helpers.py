@@ -184,6 +184,15 @@ def shuffled_form(text: str, seed: int) -> str:
     return "\n".join(out) + "\n"
 
 
+def shuffled_layout_form(text: str, seed: int) -> str:
+    """`text` in the canonical layout but for its order: its edge lines in a
+    seeded order, every other one reversed, single spaces and no comments."""
+    head, *lines = text.splitlines()
+    random.Random(seed).shuffle(lines)
+    out = [" ".join(line.split()[::-1]) if i % 2 else line for i, line in enumerate(lines, 1)]
+    return "\n".join([head, *out]) + "\n"
+
+
 def reference_filter_round(us, vs, d: int) -> tuple[list[int], list[int]]:
     """One d-core filter round on the edges (us[i], vs[i]): the edges whose
     two ends both have degree at least d among them, in the given order.

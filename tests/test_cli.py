@@ -16,6 +16,7 @@ from helpers import (
     planted_shell,
     reference_extract_stdout,
     reference_potential_stdout,
+    shuffled_layout_form,
 )
 
 
@@ -580,8 +581,9 @@ def test_commands_import_only_what_they_run(k16_file):
         assert stdlib_unused & steps["stats"] == set()
 
 
-# small versions of the four benchmark inputs, and the planted block with CRLF
-# line ends and a comment, which the line parser reads
+# small versions of the four benchmark inputs, the planted block with CRLF
+# line ends and a comment, and the planted block shuffled in the canonical
+# layout, every other edge reversed, which is parsed in C and sorted once
 BENCHMARK_SHAPES = {
     "dense": (lambda: complete_bipartite(16, 16), 16),
     "shrink": (lambda: random_bipartite(40, 40, 0.6, 13), 16),
@@ -590,13 +592,15 @@ BENCHMARK_SHAPES = {
 }
 
 
-@pytest.fixture(scope="module", params=[*BENCHMARK_SHAPES, "sparse crlf"])
+@pytest.fixture(scope="module", params=[*BENCHMARK_SHAPES, "sparse crlf", "sparse shuffled"])
 def shape_file(request, tmp_path_factory):
     build, d = BENCHMARK_SHAPES[request.param.split()[0]]
     path = tmp_path_factory.mktemp("shapes") / "g.el"
     save_graph(build(), path)
     if request.param.endswith("crlf"):
         path.write_bytes(b"# planted\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+    if request.param.endswith("shuffled"):
+        path.write_text(shuffled_layout_form(path.read_text(), seed=1))
     return str(path), d
 
 

@@ -49,6 +49,7 @@ from helpers import (
     reference_load_graph,
     reference_parse_edge_list,
     shuffled_form,
+    shuffled_layout_form,
 )
 
 
@@ -394,22 +395,36 @@ def el_path(tmp_path_factory):
 
 
 def _loaded(load, path):
-    """(graph, hash, read as canonical bytes) or the GraphError message."""
-    exact = []
-    read_edges = densebip.graph._read_edges
+    """(graph, hash, sorts) or the GraphError message: the hash the reader
+    took (the reference's for a loader that does not call the reader), and
+    the number of `_sort_and_hash` calls."""
+    hashes, sorts = [], []
+    read_edges, sort_and_hash = densebip.graph._read_edges, densebip.graph._sort_and_hash
 
-    def spy(f, digest):
-        got = read_edges(f, digest)
-        exact.append(got[3])
+    def read_spy(f):
+        got = read_edges(f)
+        hashes.append(got[3])
         return got
 
-    with mock.patch.object(densebip.graph, "_read_edges", spy):
+    def sort_spy(n, us, vs):
+        sorts.append(n)
+        return sort_and_hash(n, us, vs)
+
+    with mock.patch.object(densebip.graph, "_read_edges", read_spy), \
+            mock.patch.object(densebip.graph, "_sort_and_hash", sort_spy):
         try:
             g = load(path)
         except GraphError as exc:
             return str(exc)
-    # only a file the reader found canonical is hashed as read
-    return g, reference_canonical_sha256(g), exact == [True]
+    return g, hashes[0] if hashes else reference_canonical_sha256(g), len(sorts)
+
+
+def _in_order(raw):
+    """Whether the edge lines of `raw`, a file the loader accepts, give each
+    edge as u < v, in strictly increasing order."""
+    lines = [line.strip(" \t\r") for line in raw.decode().split("\n")]
+    edges = [tuple(map(int, line.split())) for line in lines if line and line[0] != "#"][1:]
+    return all(u < v for u, v in edges) and edges == sorted(set(edges))
 
 
 def _graph_or_error(path, raw):
@@ -481,8 +496,9 @@ class TestLoadGraph:
     @given(graphs(max_n=30))
     def test_saved_graph_takes_fast_path(self, el_path, g):
         save_graph(g, el_path)
-        loaded, digest, fast = _loaded(load_graph, el_path)
-        assert fast
+        loaded, digest, sorts = _loaded(load_graph, el_path)
+        # the edges are in order, so they are hashed as read
+        assert sorts == 0
         assert loaded == g == reference_load_graph(el_path)
         assert digest == canonical_sha256(loaded) == reference_canonical_sha256(g)
 
@@ -500,11 +516,11 @@ class TestLoadGraph:
         if isinstance(want, str):
             assert got == want, name
             return
-        loaded, digest, fast = got
+        loaded, digest, sorts = got
         assert (loaded, digest) == want[:2], name
         assert canonical_sha256(loaded) == digest, name
-        # the fast path takes exactly the canonical texts
-        assert fast == (raw == format_edge_list(loaded).encode("ascii")), name
+        # the edges are sorted and their text formatted iff they are out of order
+        assert sorts == (not _in_order(raw)), name
 
     @given(st.binary(max_size=80))
     def test_arbitrary_bytes(self, el_path, raw):
@@ -735,11 +751,15 @@ class TestLoadCore:
         # temporaries alive beside them took about 23
         assert peak < 18 * g.m
 
-    @pytest.mark.parametrize("form, bound", [("crlf", 18), ("shuffled", 80)])
+    @pytest.mark.parametrize("form, bound", [
+        ("crlf", 18), ("shuffled", 80), ("shuffled layout", 80)])
     def test_peak_memory_per_edge_of_other_forms(self, el_path, planted_100k, form, bound):
         g = planted_100k
         text = format_edge_list(g)
-        text = crlf_form(text) if form == "crlf" else shuffled_form(text, seed=1)
+        if form == "crlf":
+            text = crlf_form(text)
+        else:
+            text = (shuffled_form if form == "shuffled" else shuffled_layout_form)(text, seed=1)
         el_path.write_bytes(text.encode())
         tracemalloc.start()
         try:
@@ -750,8 +770,9 @@ class TestLoadCore:
         assert got.m == 64 and len(ids) == 16 and g.m >= 100_000
         assert digest == reference_canonical_sha256(g)
         # CRLF pieces take the canonical path once "\r\n" is "\n": about 13
-        # bytes per edge, as canonical. Shuffled edges are sorted once as int
-        # keys: about 58. The whole-file line parser took about 174 on both
+        # bytes per edge, as canonical. Shuffled edges, parsed in C or line by
+        # line, are sorted once as int keys: about 59. The whole-file line
+        # parser took about 174 on the first two
         assert peak < bound * g.m
 
     def test_whole_graph_memory_per_edge(self, el_path):
@@ -771,12 +792,13 @@ class TestLoadCore:
 
     @pytest.mark.parametrize("form, bound", [
         ("{long}\n3 1\n0 1\n", 45), ("3 1\n{long}\n0 1\n", 45),
-        ("{long}\r\n3 1\r\n0 1\r\n", 64),
-    ], ids=["LF-first", "LF-second", "CRLF-first"])
+        ("{long}\r\n3 1\r\n0 1\r\n", 45), ("3 1\r\n{long}\r\n0 1\r\n", 45),
+    ], ids=["LF-first", "LF-second", "CRLF-first", "CRLF-second"])
     def test_long_line_memory(self, el_path, form, bound):
-        # a 20 MB comment line peaks at about 38.7 MiB, as its bytes then its
-        # text beside its split lines; CRLF strips a copy more, 57.2 MiB. With
-        # the bytes kept through the line loop, 57.2 and 76.3
+        # a 20 MB comment line peaks at about 38.7 MiB with LF or CRLF ends, as
+        # its bytes beside its text, then its text beside its split line. With
+        # "\r" stripped before the comment test, or the CRLF-normalised bytes
+        # kept while the piece is decoded, CRLF peaked at 57.2 MiB
         el_path.write_bytes(form.format(long="# " + "x" * 20_000_000).encode())
         tracemalloc.start()
         try:
@@ -959,6 +981,7 @@ def _line_edit(lines, i, edit):
     return {
         "malformed": "x y",
         "out of range": f"{u} {n}",
+        "out of range in u": f"{n} {v}",
         "self-loop": f"{u} {u}",
         "repeat": lines[i - 1],
         "not UTF-8": "# \udcff\n" + lines[i],
@@ -1046,7 +1069,7 @@ class TestChunkBoundaries:
             return tokens(lines)
 
         monkeypatch.setattr(densebip.graph, "_tokens", spy)
-        assert densebip.graph._read_edges(io.BytesIO(raw), hashlib.sha256())[3]
+        assert densebip.graph._read_edges(io.BytesIO(raw))[3] == hashlib.sha256(raw).hexdigest()
         lines = raw.split(b"\n")
         assert len(_chunk_firsts(raw)) >= 3
         # the header line is parsed apart, by the line parser
@@ -1071,10 +1094,11 @@ class TestChunkBoundaries:
                 with pytest.raises(GraphError, match=re.escape(want)):
                     load_core(el_path, 8)
                 continue
-            loaded, digest, fast = got
+            loaded, digest, sorts = got
             assert (loaded, digest) == want[:2]
-            # the fast path takes exactly the canonical texts
-            assert fast == (raw == format_edge_list(loaded).encode()) == (edit == "none")
+            # the edges are sorted and their text formatted iff they are out of order
+            out_of_order = edit in ("reversed last line", "swap across")
+            assert sorts == (not _in_order(raw)) == out_of_order
             assert len(_core_ids(el_path, 8)) == 16
 
     def test_parse_peak_memory_per_edge(self, planted_100k):
@@ -1082,11 +1106,12 @@ class TestChunkBoundaries:
         raw = format_edge_list(g).encode()
         tracemalloc.start()
         try:
-            edges = densebip.graph._read_edges(io.BytesIO(raw), hashlib.sha256())
+            edges = densebip.graph._read_edges(io.BytesIO(raw))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(edges[1]) == g.m >= 100_000 and edges[3]
+        assert len(edges[1]) == g.m >= 100_000
+        assert edges[3] == hashlib.sha256(raw).hexdigest()
         # a whole-file token list takes about 100 bytes per edge
         assert peak < 40 * g.m
 
@@ -1112,3 +1137,67 @@ class TestChunkBoundaries:
         late = data.draw(st.integers(firsts[1] + 1, len(lines) - 1)), data.draw(edit)
         header = data.draw(st.sampled_from(["none", "wrong m", "malformed", "comment first"]))
         _matches_reference(el_path, _edited(lines, header, early, late))
+
+
+@pytest.fixture()
+def read_calls(monkeypatch):
+    """The file offset of each piece `_text` decodes, and the n of each
+    `_sort_and_hash` call, as two lists filled while the test runs."""
+    texts, sorts = [], []
+    text, sort_and_hash = densebip.graph._text, densebip.graph._sort_and_hash
+
+    def text_spy(piece, start):
+        texts.append(start)
+        return text(piece, start)
+
+    def sort_spy(n, us, vs):
+        sorts.append(n)
+        return sort_and_hash(n, us, vs)
+
+    monkeypatch.setattr(densebip.graph, "_text", text_spy)
+    monkeypatch.setattr(densebip.graph, "_sort_and_hash", sort_spy)
+    return texts, sorts
+
+
+class TestReadPass:
+    @pytest.mark.parametrize("form", ["canonical", "crlf", "comment first"])
+    def test_edges_in_order_are_hashed_as_read(self, el_path, shell_text, read_calls, form):
+        raw = {"canonical": shell_text, "crlf": crlf_form(shell_text),
+               "comment first": "# c\n" + shell_text}[form]
+        el_path.write_bytes(raw.encode())
+        g, _, digest = load_core(el_path, 0)
+        texts, sorts = read_calls
+        assert sorts == []
+        assert digest == hashlib.sha256(shell_text.encode()).hexdigest()
+        assert g == reference_load_graph(el_path)
+        # the first line, and after a comment the piece that holds the header,
+        # are read line by line; every later piece is parsed in C
+        assert len(texts) == (1 if form == "canonical" else 2)
+
+    def test_shuffled_layout_is_parsed_in_c(self, el_path, shell_text, read_calls):
+        el_path.write_bytes(shuffled_layout_form(shell_text, seed=1).encode())
+        g, _, digest = load_core(el_path, 0)
+        texts, sorts = read_calls
+        # only the header line is read line by line, and the sort runs once
+        assert texts == [0] and sorts == [g.n]
+        assert len(_chunk_firsts(shell_text.encode())) >= 3
+        assert digest == hashlib.sha256(shell_text.encode()).hexdigest()
+        assert g == reference_load_graph(el_path)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_edits_of_the_shuffled_layout_match_reference(self, el_path, shell_text, data):
+        # reversed and shuffled pieces are parsed in C, so a fault or a repeat
+        # in them must still be named as the line parser names it
+        lines = shuffled_layout_form(shell_text, seed=data.draw(st.integers(0, 3))).splitlines()
+        line = st.integers(1, len(lines) - 1)
+        edits = data.draw(st.lists(st.tuples(line, st.sampled_from(
+            ["malformed", "out of range", "out of range in u", "self-loop", "repeat", "reversed",
+             "leading zero", "tab and CR"])), max_size=2, unique_by=lambda e: e[0]))
+        raw = _edited(lines, "none", *edits)
+        if data.draw(st.booleans()):  # a line repeated, reversed, in another piece
+            i, j = data.draw(line), data.draw(line)
+            out = raw.decode().split("\n")
+            out[i] = " ".join(out[j].split()[::-1])
+            raw = "\n".join(out).encode()
+        _matches_reference(el_path, raw)
