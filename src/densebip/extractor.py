@@ -16,11 +16,16 @@ the positive denominator 10abd, so acceptance is the sign of an integer
 numerator, and the potential's float is num / den, which Python rounds
 correctly.
 
-One evaluator turns a drawn sample into its layer mask, layer edge count and
-supported mask; an empty layer ends it before the survivors are found. The
-counts-only kernel, through which `stats` and the trial loop of `extract` draw
-every trial, returns just the numerator of those counts. `sample_trial` reads
-a `SampleOutcome`'s layer and supported sets off the same masks and adds the
+A trial's layer mask comes from its hit counts, and one evaluator turns a
+sample with a nonempty layer into its layer edge count and supported mask.
+The counts-only kernel, through which `stats` and the trial loop of `extract`
+draw every trial, returns just the numerator of those counts; a trial that
+sampled fewer than ell vertices, or hit no layer, never reaches the
+evaluator. Each driver binds the kernel once per run to the run's constants
+(`_counts_kernel`): ell, the threshold, the three integer coefficients of
+the numerator and the ordered graph's mask tables, so a trial reads nothing
+off the ordered graph or the params. `sample_trial` reads a
+`SampleOutcome`'s layer and supported sets off the same masks and adds the
 survivors and the exact Fraction; `extract` builds it only for the trial it
 accepts.
 
@@ -30,8 +35,9 @@ and caches, per vertex, a left-neighbor mask, a neighbor mask and a holder
 mask (the neighbors whose candidate set, their d smallest neighbor ids, ends
 at an id at least its own). A mask takes at most n/8 bytes for an n-vertex
 core. On a dense core, where n masks take no more memory than the adjacency
-tuples, `reducer.build_ordered` fills the neighbor and left masks up front
-from its bit-sliced ordering. Every other mask is built on first use, so a
+tuples, `reducer.build_ordered` fills all three tables up front: the neighbor
+and left masks from its bit-sliced ordering, the holder masks from the
+neighbor masks. On any other core each mask is built on first use, so a
 trial costs at most n/8 bytes per vertex it touches the first time.
 `reducer.bitmask` and `reducer.mask_members` convert between id lists and masks.
 """
@@ -42,6 +48,9 @@ import heapq
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
+from operator import and_
 
 from .graph import Graph, bipartite_pair_report
 from .reducer import OrderedGraph, bitmask, mask_members
@@ -184,24 +193,18 @@ class SampleOutcome(
     __slots__ = ()
 
 
-def _potential_numerator(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> int:
-    """The potential times `_potential_denominator(params)`: with q = a/b, the
-    three terms over the shared denominator 10abd, as one integer."""
+def _potential_coefficients(params: Params) -> tuple[int, int, int]:
+    """(10abd, b^2, a^2 d^2), with q = a/b: the potential times 10abd is
+    10abd |supported| - b^2 layer_edges - a^2 d^2 |sampled|, an integer, and
+    10abd is positive, so a potential has its numerator's sign."""
     a, b, d = params.q.numerator, params.q.denominator, params.d
-    return 10 * a * b * d * n_supported - b * b * layer_edges - a * a * d * d * n_sampled
-
-
-def _potential_denominator(params: Params) -> int:
-    """10abd, with q = a/b: positive, so a potential has its numerator's sign."""
-    return 10 * params.q.numerator * params.q.denominator * params.d
+    return 10 * a * b * d, b * b, a * a * d * d
 
 
 def potential_value(n_supported: int, layer_edges: int, n_sampled: int, params: Params) -> Fraction:
     """|supported| - layer_edges/(10 q d) - q |sampled| d/10, exactly."""
-    return Fraction(
-        _potential_numerator(n_supported, layer_edges, n_sampled, params),
-        _potential_denominator(params),
-    )
+    den, b2, a2d2 = _potential_coefficients(params)
+    return Fraction(den * n_supported - b2 * layer_edges - a2d2 * n_sampled, den)
 
 
 def require_compatible(og: OrderedGraph, params: Params) -> None:
@@ -231,14 +234,18 @@ def left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
 
     Each member's cached left mask is cut by one bitmask of the sample.
     """
+    return _left_minimal(og.left_masks, sampled)
+
+
+def _left_minimal(left, sampled) -> list[int]:
+    """`left_minimal_members` on the ordered graph's left mask table `left`."""
     sampled_mask = bitmask(sampled)
-    left = og.left_masks
     return [x for x in sampled if not left[x] & sampled_mask]
 
 
-def _layer_mask(og: OrderedGraph, sampled, ell: int) -> int:
+def _layer_mask(holders, n: int, sampled, ell: int) -> int:
     """The mask of the vertices whose candidate set holds exactly ell sampled
-    vertices.
+    vertices, on an n-vertex ordered graph whose holder mask table is `holders`.
 
     The hit counts live in a bit-sliced counter: levels[i] holds bit i of
     every vertex's count, and each sampled x adds its holder mask with a
@@ -247,7 +254,6 @@ def _layer_mask(og: OrderedGraph, sampled, ell: int) -> int:
     """
     if len(sampled) < ell:
         return 0  # no candidate set can be hit ell times
-    holders = og.holder_masks
     levels: list[int] = []
     for x in sampled:
         carry = holders[x]
@@ -261,23 +267,25 @@ def _layer_mask(og: OrderedGraph, sampled, ell: int) -> int:
                 levels.append(carry)
     if ell >> len(levels):
         return 0  # every count is below 2**len(levels) <= ell
-    layer_mask = (1 << og.graph.n) - 1
+    layer_mask = (1 << n) - 1
     for i, level in enumerate(levels):
         layer_mask &= level if ell >> i & 1 else ~level
     return layer_mask
 
 
-def _edges_within(og: OrderedGraph, mask: int) -> int:
+def _edges_within(neighbors, mask: int) -> int:
     """The number of edges among the vertices of `mask`: each member's
-    neighbor mask, cut by it, counts that member's edges inside."""
-    # map chains run the loop in C; a generator costs about twice as much here
-    cut = map(mask.__and__, map(og.neighbor_masks.__getitem__, mask_members(mask)))
+    neighbor mask in the table `neighbors`, cut by it, counts that member's
+    edges inside."""
+    # map chains run the loop in C; a generator costs about twice as much here,
+    # and the mask's bound __and__ about an eighth more than operator.and_
+    cut = map(and_, map(neighbors.__getitem__, mask_members(mask)), repeat(mask))
     return sum(map(int.bit_count, cut)) // 2
 
 
-def _supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int) -> int:
+def _supported_mask(neighbors, survivors, layer_mask: int, threshold: int) -> int:
     """The mask of the vertices of `layer_mask` with at least `threshold`
-    neighbors in `survivors`.
+    neighbors in `survivors`, by the neighbor mask table `neighbors`.
 
     At threshold 1 a vertex is supported when it lies in the union of the
     survivors' neighbor masks, so when the survivors are fewer than the layer
@@ -285,32 +293,27 @@ def _supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int
     each layer vertex's neighbor mask is cut by the survivors' mask and its
     bits are counted.
     """
-    nbrs = og.neighbor_masks
     if threshold == 1 and len(survivors) < layer_mask.bit_count():
         reach = 0
         for w in survivors:
-            reach |= nbrs[w]
+            reach |= neighbors[w]
         return reach & layer_mask
     survivor_mask = bitmask(survivors)
     return bitmask(
-        y for y in mask_members(layer_mask) if (nbrs[y] & survivor_mask).bit_count() >= threshold
+        y for y in mask_members(layer_mask)
+        if (neighbors[y] & survivor_mask).bit_count() >= threshold
     )
 
 
-def _evaluate_trial(og: OrderedGraph, params: Params, sampled) -> tuple[int, int, int]:
-    """(layer_mask, layer_edges, supported_mask) of the trial that drew the
-    ids `sampled`.
-
-    An empty layer ends the trial with (0, 0, 0) before the survivors are
-    found; otherwise the supported mask is cut from the layer mask by the
-    left-minimal members of the sample.
-    """
-    layer_mask = _layer_mask(og, sampled, params.ell)
-    if not layer_mask:
-        return 0, 0, 0
-    survivors = left_minimal_members(og, sampled)
-    supported_mask = _supported_mask(og, survivors, layer_mask, params.threshold)
-    return layer_mask, _edges_within(og, layer_mask), supported_mask
+def _evaluate_trial(neighbors, left, threshold: int, sampled, layer_mask: int) -> tuple[int, int]:
+    """(layer_edges, supported_mask) of the trial that drew the ids `sampled`
+    and hit the nonempty `layer_mask`, by the ordered graph's neighbor and
+    left mask tables: the supported mask is cut from the layer mask by the
+    left-minimal members of the sample."""
+    survivors = _left_minimal(left, sampled)
+    return _edges_within(neighbors, layer_mask), _supported_mask(
+        neighbors, survivors, layer_mask, threshold
+    )
 
 
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
@@ -321,11 +324,17 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     exactly 1/d and the stream is consumed as by one randrange(d) per vertex,
     though for d < 256 most of it is drawn as one getrandbits block of a word
     per vertex. The record's layer and supported sets are read off the masks
-    of `_evaluate_trial`.
+    of `_layer_mask` and `_evaluate_trial`.
     """
     require_compatible(og, params)
-    sampled = sampled_members(rng, range(og.graph.n), params.d)
-    layer_mask, layer_edges, supported_mask = _evaluate_trial(og, params, sampled)
+    n = og.graph.n
+    sampled = sampled_members(rng, range(n), params.d)
+    layer_mask = _layer_mask(og.holder_masks, n, sampled, params.ell)
+    layer_edges, supported_mask = (
+        _evaluate_trial(og.neighbor_masks, og.left_masks, params.threshold, sampled, layer_mask)
+        if layer_mask
+        else (0, 0)
+    )
     survivors = left_minimal_members(og, sampled)
     layer, supported = mask_members(layer_mask), mask_members(supported_mask)
     phi = potential_value(len(supported), layer_edges, len(sampled), params)
@@ -334,18 +343,37 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     )
 
 
-def _trial_numerator(og: OrderedGraph, params: Params, rng) -> int:
-    """The numerator of `sample_trial(og, params, rng).potential` over
-    `_potential_denominator(params)`, unreduced, and `rng` left in the same
-    state; the caller checks that `og` and `params` are compatible.
+def _trial_numerator(vertices: range, d: int, ell: int, threshold: int, den: int, b2: int,
+                     a2d2: int, holders, neighbors, left, rng) -> int:
+    """The numerator of `sample_trial(og, params, rng).potential` over 10abd,
+    unreduced, and `rng` left in the same state.
 
+    All but `rng` are the run's constants, which `_counts_kernel` binds once:
+    the vertices range(n), d, ell, the threshold, the coefficients of
+    `_potential_coefficients` and the holder, neighbor and left mask tables.
     It draws the same sample and evaluates it the same way, but keeps only
-    counts: the support count is one bit count of a mask, and no tuple,
-    record or Fraction is built.
+    counts: a trial whose layer is empty, as when it sampled fewer than ell
+    vertices, scores -a^2 d^2 |sampled| without `_evaluate_trial`, the support
+    count is one bit count of a mask, and no tuple, record or Fraction is
+    built.
     """
-    sampled = sampled_members(rng, range(og.graph.n), params.d)
-    _, layer_edges, supported_mask = _evaluate_trial(og, params, sampled)
-    return _potential_numerator(supported_mask.bit_count(), layer_edges, len(sampled), params)
+    sampled = sampled_members(rng, vertices, d)
+    n_sampled = len(sampled)
+    layer_mask = _layer_mask(holders, len(vertices), sampled, ell) if n_sampled >= ell else 0
+    if not layer_mask:
+        return -a2d2 * n_sampled
+    layer_edges, supported_mask = _evaluate_trial(neighbors, left, threshold, sampled, layer_mask)
+    return den * supported_mask.bit_count() - b2 * layer_edges - a2d2 * n_sampled
+
+
+def _counts_kernel(og: OrderedGraph, params: Params) -> partial:
+    """`_trial_numerator` with the run's constants bound: call it on a stream.
+    The caller checks that `og` and `params` are compatible. It pickles, with
+    the mask tables, as a `partial` of a module-level function."""
+    return partial(
+        _trial_numerator, range(og.graph.n), params.d, params.ell, params.threshold,
+        *_potential_coefficients(params), og.holder_masks, og.neighbor_masks, og.left_masks,
+    )
 
 
 def greedy_independent_set(g: Graph) -> tuple[int, ...]:
@@ -411,9 +439,8 @@ def extract(
         raise ValueError("max_retries must be at least 1")
     require_compatible(og, params)
     require_premise(og, params)
-    accepted_index = next(
-        (i for i in range(max_retries) if _trial_numerator(og, params, stream(seed, i)) > 0), -1
-    )
+    kernel = _counts_kernel(og, params)
+    accepted_index = next((i for i in range(max_retries) if kernel(stream(seed, i)) > 0), -1)
     if accepted_index < 0:
         raise ExtractionError(
             f"no trial with positive potential in {max_retries} attempts",

@@ -4,6 +4,13 @@ Vertices are dense 0-based integers and adjacency lists are kept sorted, so
 construction is canonical: the same edge set always yields the same object.
 All operations are pure; instances are safe to share across threads and
 processes without synchronization.
+
+`Graph.is_triangle_free` first tries a 2-colouring, which clears any
+bipartite graph in O(n + m). A graph that is not bipartite is searched edge
+by edge for a common higher neighbour: on per-vertex bitmasks of the higher
+neighbours when n masks take no more memory than the adjacency tuples
+(`_masks_fit`, the rule `reducer.build_ordered` also picks its ordering by),
+and on per-vertex sets otherwise, where n masks would take about n^2/8 bytes.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice, repeat
-from operator import add, floordiv, lt, mod, mul, ne
+from operator import add, floordiv, lt, mod, mul, ne, or_
 from pathlib import Path
 
 # Every vertex gets an adjacency list, isolated or not, so a header alone could
@@ -36,6 +43,16 @@ def _check_vertex_count(n: int) -> None:
         raise GraphError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
         raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def _masks_fit(g: Graph) -> bool:
+    """Whether n per-vertex bitmasks take no more memory than the adjacency tuples.
+
+    A mask over n ids spans ceil(n/64) 64-bit words and the tuples hold one
+    8-byte slot per neighbour, 2m in all. So the masks fit when
+    ceil(n/64) * n <= 2m: a mask's word count is at most the average degree.
+    """
+    return -(-g.n // 64) * g.n <= 2 * g.m
 
 
 def _vertex_subset(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
@@ -89,12 +106,23 @@ class Graph(namedtuple("Graph", "adjacency")):
         A proper 2-colouring proves the graph bipartite, hence triangle-free,
         in O(n + m). Only a graph that is not bipartite is searched: with
         above[u] the neighbours of u larger than u, a triangle u < v < w has
-        v in above[u] and w in above[u] & above[v], so each edge costs one
-        set intersection, with early exit on the first triangle.
+        v in above[u] and w in above[u] & above[v]. When n bitmasks take no
+        more memory than the adjacency tuples (`_masks_fit`), above[u] is a
+        bitmask and each vertex ANDs its mask with the OR of its upper
+        neighbours' masks, in C. Otherwise, as on a large sparse graph,
+        above[u] is a set and each edge costs one set intersection. Both stop
+        at the first triangle they find.
         """
         if self._is_bipartite():
             return True
-        above = [set(nbrs[bisect_right(nbrs, u):]) for u, nbrs in enumerate(self.adjacency)]
+        ups = [nbrs[bisect_right(nbrs, u):] for u, nbrs in enumerate(self.adjacency)]
+        if _masks_fit(self):
+            pow2 = [1 << v for v in range(self.n)]
+            masks = [sum(map(pow2.__getitem__, up)) for up in ups]
+            return not any(
+                mine & reduce(or_, map(masks.__getitem__, up), 0) for mine, up in zip(masks, ups)
+            )
+        above = list(map(set, ups))
         for mine in above:
             for v in mine:
                 if not mine.isdisjoint(above[v]):

@@ -21,7 +21,11 @@ deterministic: ties always break toward the smallest vertex id.
 The ordering is smallest-last (Matula-Beck): repeatedly remove a vertex of
 least degree. `build_ordered` runs it on int bitmasks with a bit-sliced
 degree counter when the core's neighbour masks take no more memory than its
-adjacency tuples, and on a binary heap otherwise; both give the same order.
+adjacency tuples (`graph._masks_fit`), and on a binary heap otherwise; both
+give the same order. On such a dense core it also fills all three mask
+tables of the trial kernel up front: the neighbour and left masks from the
+ordering's own pass, the holder masks from the neighbour masks in one sweep.
+On any other core each mask is built on its first lookup.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import compress, count
 
-from .graph import Graph
+from .graph import Graph, _masks_fit
 
 
 class EmptyCoreError(ValueError):
@@ -269,16 +273,6 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     return tuple(reversed(removal)), degeneracy
 
 
-def _masks_fit(g: Graph) -> bool:
-    """Whether n per-vertex bitmasks take no more memory than the adjacency tuples.
-
-    A mask over n ids spans ceil(n/64) 64-bit words and the tuples hold one
-    8-byte slot per neighbour, 2m in all. So the masks fit when
-    ceil(n/64) * n <= 2m: a mask's word count is at most the average degree.
-    """
-    return -(-g.n // 64) * g.n <= 2 * g.m
-
-
 def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], list[int]]:
     """`degeneracy_ordering` on bitmasks, plus the masks it passes through.
 
@@ -329,6 +323,27 @@ def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], lis
     return tuple(reversed(removal)), degeneracy, nbr, left
 
 
+def _holder_masks(candidate_sets: Sequence[Sequence[int]], nbr: list[int]) -> list[int]:
+    """holder_masks from the neighbour masks `nbr`, in one descending sweep.
+
+    y holds x when y is a neighbour of x and x is at most the last id of y's
+    candidate set, so holders[x] is nbr[x] cut by the mask of every y whose
+    candidate set ends at x or above. Sweeping x down from n - 1 adds each y
+    to that mask at its last candidate; a y with an empty candidate set
+    (d = 0, or an isolated vertex) holds nothing.
+    """
+    ends = [0] * len(nbr)
+    for y, cand in enumerate(candidate_sets):
+        if cand:
+            ends[cand[-1]] |= 1 << y
+    holders = [0] * len(nbr)
+    reach = 0
+    for x in range(len(nbr) - 1, -1, -1):
+        reach |= ends[x]
+        holders[x] = nbr[x] & reach
+    return holders
+
+
 def build_ordered(g: Graph, d: int) -> OrderedGraph:
     """Order a core of min degree >= d and degeneracy <= d; reject any other graph.
 
@@ -337,7 +352,8 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
     neighbour masks take no more memory than its adjacency tuples
     (ceil(n/64) * n <= 2m), the ordering runs on bitmasks
     (`_bit_sliced_ordering`), and the neighbour and left masks it builds
-    fill the ordered graph's `neighbor_masks` and `left_masks` caches.
+    fill the ordered graph's `neighbor_masks` and `left_masks` caches; one
+    sweep over the neighbour masks fills `holder_masks` (`_holder_masks`).
     Otherwise, as on a large sparse core, where n masks would take about
     n^2/8 bytes, the ordering is the heap `degeneracy_ordering` and every
     mask is built on first use.
@@ -358,6 +374,7 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
     if dense:
         og.neighbor_masks.update(enumerate(nbr))
         og.left_masks.update(enumerate(left))
+        og.holder_masks.update(enumerate(_holder_masks(og.candidate_sets, nbr)))
     return og
 
 

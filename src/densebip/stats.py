@@ -7,9 +7,12 @@ deterministic given (seed, trials) and independent of the worker count: trial
 i draws from its own stream `stream(seed, i)` and `iter_indexed` yields the
 results in index order, whichever process computed them. Each driver binds
 its trial, a module-level function or a `partial` of one, to all but the
-index. With workers > 1 a process pool receives the bound trial once,
-through its initializer, so tasks carry only indices; `concurrent.futures`
-is imported only when a pool is opened. `extract` runs its trials serially.
+index; `mc_potential` binds the counts-only kernel, itself a `partial` with
+the run's constants and mask tables (`extractor._counts_kernel`), and its
+trial looks `stream` up here at call time. With workers > 1 a process pool
+receives the bound trial once, through its initializer, so tasks carry only
+indices; `concurrent.futures` is imported only when a pool is opened.
+`extract` runs its trials serially.
 
 Every driver reads its trials in one pass and keeps only its fold: the
 proportion checks keep counts, and the mean checks keep one float per trial
@@ -40,11 +43,11 @@ from .extractor import (
     GUARANTEE_MIN_DEGREE,
     Q_OVER_P_FLOOR,
     Params,
+    _counts_kernel,
     _edges_within,
     _layer_mask,
-    _potential_denominator,
+    _potential_coefficients,
     _supported_mask,
-    _trial_numerator,
     derive_params,
     exact_q,
     left_minimal_members,
@@ -202,7 +205,8 @@ def _forced_outcome(og: OrderedGraph, params: Params, y: int, free: list[int], f
     sampled = [*forced, *sampled_members(rng, free, params.d)]
     survivor_set = set(left_minimal_members(og, sampled))
     missing = sum(1 for x in forced if x not in survivor_set)
-    return bool(_supported_mask(og, survivor_set, 1 << y, params.threshold)), missing
+    supported = _supported_mask(og.neighbor_masks, survivor_set, 1 << y, params.threshold)
+    return bool(supported), missing
 
 
 def _conditional_trial(og: OrderedGraph, params: Params, y: int, free: list[int], seed: int,
@@ -317,8 +321,9 @@ def mc_per_vertex_survival(
 
 
 def _edge_identity_trial(og: OrderedGraph, params: Params, seed: int, index: int) -> int:
-    sampled = sampled_members(stream(seed, index), range(og.graph.n), params.d)
-    return _edges_within(og, _layer_mask(og, sampled, params.ell))
+    n = og.graph.n
+    sampled = sampled_members(stream(seed, index), range(n), params.d)
+    return _edges_within(og.neighbor_masks, _layer_mask(og.holder_masks, n, sampled, params.ell))
 
 
 def mc_edge_identity(
@@ -340,8 +345,8 @@ def mc_edge_identity(
     return Estimate(mu, trials, low, high, target, low <= target <= high)
 
 
-def _potential_trial(og: OrderedGraph, params: Params, seed: int, index: int) -> int:
-    return _trial_numerator(og, params, stream(seed, index))
+def _potential_trial(kernel: Callable[[object], int], seed: int, index: int) -> int:
+    return kernel(stream(seed, index))
 
 
 def mc_potential(
@@ -358,10 +363,11 @@ def mc_potential(
     _require_trials(trials)
     require_compatible(og, params)
     require_premise(og, params)
-    den = _potential_denominator(params)
+    den, _, _ = _potential_coefficients(params)
     successes = 0
     values = array("d")
-    for num in iter_indexed(partial(_potential_trial, og, params, seed), trials, workers):
+    trial = partial(_potential_trial, _counts_kernel(og, params), seed)
+    for num in iter_indexed(trial, trials, workers):
         successes += num > 0
         values.append(num / den)
     mu, low, high = mean_interval(values)

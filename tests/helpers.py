@@ -37,8 +37,15 @@ from densebip.graph import (
     from_edge_list,
     load_graph,
 )
-from densebip.reducer import EmptyCoreError, OrderedGraph, d_core, reduce_and_order
-from densebip.rng import stream
+from densebip.reducer import (
+    EmptyCoreError,
+    OrderedGraph,
+    bitmask,
+    d_core,
+    mask_members,
+    reduce_and_order,
+)
+from densebip.rng import sampled_members, stream
 from densebip.stats import mc_potential
 
 
@@ -415,6 +422,27 @@ def k40_with_triangles() -> Graph:
     return from_edge_list(80, edges + [(2 * i, 2 * i + 1) for i in range(20)])
 
 
+def one_triangle_regular() -> Graph:
+    """A connected 16-regular graph on 80 vertices with exactly one triangle.
+
+    Left vertex i (0..39) is adjacent to right vertex 40 + (i + s) % 40 for
+    s < 16. Then L0-R0 and L15-R16 are swapped for L0-L15 and R0-R16: L0 and
+    L15 keep one common neighbour, R15, and R0 and R16 have none. Deleting any
+    vertex peels the rest, so the graph is its own minimal 16-core, and its
+    n masks fit its adjacency's memory.
+    """
+    edges = {(i, 40 + (i + s) % 40) for i in range(40) for s in range(16)}
+    edges -= {(0, 40), (15, 56)}
+    edges |= {(0, 15), (40, 56)}
+    return from_edge_list(80, sorted(edges))
+
+
+def triangle_count(g: Graph) -> int:
+    """The number of triangles of `g`, from each edge's common neighbours."""
+    sets = [set(nbrs) for nbrs in g.adjacency]
+    return sum(len(sets[u] & sets[v]) for u, v in g.edges()) // 3
+
+
 def naive_triangle_free(g: Graph) -> bool:
     """O(n^3) triple scan."""
     sets = [set(nbrs) for nbrs in g.adjacency]
@@ -730,3 +758,66 @@ def reference_conditional_outcomes(
         forced = rng.sample(og.candidate_sets[y], params.ell)
         outcomes.append(reference_forced_outcome(og, params, y, forced, rng))
     return outcomes
+
+
+def frozen_trial_numerator(og: OrderedGraph, params: Params, rng) -> int:
+    """The counts-only kernel as it stood before its constants were bound once
+    per run: it samples range(n), always enters the evaluator, and forms the
+    numerator 10abd |supported| - b^2 layer_edges - a^2 d^2 |sampled| from
+    `params` on every call. Kept, with its helpers inlined, as an oracle."""
+    sampled = sampled_members(rng, range(og.graph.n), params.d)
+    _, layer_edges, supported_mask = _frozen_evaluate_trial(og, params, sampled)
+    a, b, d = params.q.numerator, params.q.denominator, params.d
+    return (
+        10 * a * b * d * supported_mask.bit_count()
+        - b * b * layer_edges
+        - a * a * d * d * len(sampled)
+    )
+
+
+def _frozen_evaluate_trial(og: OrderedGraph, params: Params, sampled) -> tuple[int, int, int]:
+    layer_mask = _frozen_layer_mask(og, sampled, params.ell)
+    if not layer_mask:
+        return 0, 0, 0
+    sampled_mask = bitmask(sampled)
+    left = og.left_masks
+    survivors = [x for x in sampled if not left[x] & sampled_mask]
+    supported_mask = _frozen_supported_mask(og, survivors, layer_mask, params.threshold)
+    cut = map(layer_mask.__and__, map(og.neighbor_masks.__getitem__, mask_members(layer_mask)))
+    return layer_mask, sum(map(int.bit_count, cut)) // 2, supported_mask
+
+
+def _frozen_layer_mask(og: OrderedGraph, sampled, ell: int) -> int:
+    if len(sampled) < ell:
+        return 0
+    holders = og.holder_masks
+    levels: list[int] = []
+    for x in sampled:
+        carry = holders[x]
+        for i, level in enumerate(levels):
+            levels[i] = level ^ carry
+            carry &= level
+            if not carry:
+                break
+        else:
+            if carry:
+                levels.append(carry)
+    if ell >> len(levels):
+        return 0
+    layer_mask = (1 << og.graph.n) - 1
+    for i, level in enumerate(levels):
+        layer_mask &= level if ell >> i & 1 else ~level
+    return layer_mask
+
+
+def _frozen_supported_mask(og: OrderedGraph, survivors, layer_mask: int, threshold: int) -> int:
+    nbrs = og.neighbor_masks
+    if threshold == 1 and len(survivors) < layer_mask.bit_count():
+        reach = 0
+        for w in survivors:
+            reach |= nbrs[w]
+        return reach & layer_mask
+    survivor_mask = bitmask(survivors)
+    return bitmask(
+        y for y in mask_members(layer_mask) if (nbrs[y] & survivor_mask).bit_count() >= threshold
+    )

@@ -13,6 +13,7 @@ from densebip.graph import MAX_VERTICES, from_edge_list, load_graph, parse_edge_
 
 from helpers import (
     k40_with_triangles,
+    one_triangle_regular,
     planted_shell,
     reference_extract_stdout,
     reference_potential_stdout,
@@ -363,6 +364,18 @@ class TestStats:
             assert err == ("error: guarantee mode needs a triangle-free input, "
                            "but the reduced core has a triangle\n")
         # best-effort mode makes no claim that needs the premise
+        assert run(capsys, *argv)[0] in (0, 1)
+
+    def test_guarantee_premise_on_a_dense_core_with_one_triangle(self, tmp_path, capsys):
+        """The core is the whole 16-regular graph, dense enough for the
+        bitmask triangle search, and holds a single triangle."""
+        path = str(tmp_path / "one_triangle.el")
+        save_graph(one_triangle_regular(), path)
+        argv = ["stats", "potential", "--in", path, "--d", "16", "--seed", "1", "--trials", "50"]
+        code, out, err = run(capsys, *argv, "--guarantee")
+        assert (code, out) == (2, "")
+        assert err == ("error: guarantee mode needs a triangle-free input, "
+                       "but the reduced core has a triangle\n")
         assert run(capsys, *argv)[0] in (0, 1)
 
     def test_missing_input_exits_2(self, capsys):

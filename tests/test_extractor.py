@@ -12,11 +12,11 @@ from densebip.extractor import (
     ExtractionError,
     Params,
     ParamsError,
+    _counts_kernel,
     _edges_within,
     _layer_mask,
-    _potential_denominator,
+    _potential_coefficients,
     _supported_mask,
-    _trial_numerator,
     derive_params,
     exact_q,
     extract,
@@ -30,6 +30,9 @@ from densebip.extractor import (
 from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
 from densebip.graph import from_edge_list
 from densebip.reducer import (
+    OrderedGraph,
+    _holder_masks,
+    _masks_fit,
     bitmask,
     build_ordered,
     mask_members,
@@ -41,6 +44,7 @@ from densebip.stats import Estimate, mc_potential, mean_interval, wilson_interva
 from helpers import (
     cycle_graph,
     edges_within,
+    frozen_trial_numerator,
     k40_with_triangles,
     ordered_cores,
     ragged_cores,
@@ -223,7 +227,7 @@ class TestSampleTrialOracle:
         ours, counts, theirs = stream(seed, index), stream(seed, index), stream(seed, index)
         expected = reference_sample_trial(og, params, theirs)
         assert sample_trial(og, params, ours) == expected
-        num, den = _trial_numerator(og, params, counts), _potential_denominator(params)
+        num, (den, _, _) = _counts_kernel(og, params)(counts), _potential_coefficients(params)
         assert Fraction(num, den) == expected.potential
         assert num / den == float(expected.potential)
         assert ours.getstate() == counts.getstate() == theirs.getstate()
@@ -250,8 +254,8 @@ class TestTrialKernelOracle:
     @given(ragged_cores(), st.integers(0, 4), st.data())
     def test_hit_layer_matches_list_counts(self, og, ell, data):
         sampled = vertex_subset(data, og.graph.n)
-        layer_mask = _layer_mask(og, sampled, ell)
-        assert (mask_members(layer_mask), _edges_within(og, layer_mask)) == (
+        layer_mask = _layer_mask(og.holder_masks, og.graph.n, sampled, ell)
+        assert (mask_members(layer_mask), _edges_within(og.neighbor_masks, layer_mask)) == (
             reference_hit_layer(og, sampled, ell)
         )
 
@@ -259,7 +263,8 @@ class TestTrialKernelOracle:
     def test_supported_members_matches_list_counts(self, og, threshold, data):
         survivors = vertex_subset(data, og.graph.n)
         layer = vertex_subset(data, og.graph.n)
-        assert mask_members(_supported_mask(og, survivors, bitmask(layer), threshold)) == (
+        supported = _supported_mask(og.neighbor_masks, survivors, bitmask(layer), threshold)
+        assert mask_members(supported) == (
             reference_supported_members(og, survivors, layer, threshold)
         )
 
@@ -318,6 +323,81 @@ class TestCountsKernel:
         result = extract(og, params, seed=1, max_retries=2000)
         assert result.trials_used > 1  # rejected trials came first
         assert calls == {"sample_trial": 1, "SampleOutcome": 1}
+
+
+def _tables_filled(og: OrderedGraph, eager: bool) -> OrderedGraph:
+    """A fresh copy of `og` whose mask tables fill as `build_ordered` fills them
+    on the given side of `_masks_fit`: all three up front, holders from the
+    neighbor masks, or each mask on its first lookup."""
+    fresh = OrderedGraph(*og)
+    if eager:
+        nbr = [bitmask(nbrs) for nbrs in og.graph.adjacency]
+        fresh.neighbor_masks.update(enumerate(nbr))
+        fresh.left_masks.update(enumerate(map(bitmask, og.left_neighbors)))
+        fresh.holder_masks.update(enumerate(_holder_masks(og.candidate_sets, nbr)))
+    return fresh
+
+
+def _check_kernel_indices(og: OrderedGraph, params: Params, seed: int, indices) -> set[str]:
+    """Check the bound kernel against the frozen one and the record's potential
+    at each index; return which kinds of trial the indices drew."""
+    kernel = _counts_kernel(og, params)
+    den, _, _ = _potential_coefficients(params)
+    kinds = set()
+    for index in indices:
+        ours, frozen, record = stream(seed, index), stream(seed, index), stream(seed, index)
+        outcome = sample_trial(og, params, record)
+        num = kernel(ours)
+        assert num == frozen_trial_numerator(og, params, frozen) == outcome.potential * den
+        assert ours.getstate() == frozen.getstate() == record.getstate()
+        if len(outcome.sampled) < params.ell:
+            kinds.add("short")
+        else:
+            kinds.add("layer" if outcome.layer else "empty layer")
+    return kinds
+
+
+class TestBoundKernel:
+    """The counts-only kernel with its run constants bound, against the kernel
+    it replaced (`helpers.frozen_trial_numerator`) and `sample_trial`."""
+
+    @settings(max_examples=80)
+    @given(st.one_of(ordered_cores(), ragged_trial_cores()), st.booleans(),
+           st.integers(0, 2**64 - 1))
+    def test_matches_frozen_kernel(self, core, eager, seed):
+        og, params = core
+        _check_kernel_indices(_tables_filled(og, eager), params, seed, range(12))
+
+    @pytest.mark.parametrize("eager", [True, False], ids=["eager", "lazy"])
+    def test_every_kind_of_trial(self, eager):
+        """Fewer than ell sampled, enough sampled but an empty layer, and a
+        nonempty layer all occur, on both sides of `_masks_fit`."""
+        og, _ = reduce_and_order(c5_blowup(12), 24)
+        params = derive_params(24, True)
+        assert _masks_fit(og.graph)
+        kinds = _check_kernel_indices(_tables_filled(og, eager), params, 5, range(150))
+        assert kinds == {"short", "empty layer", "layer"}
+
+    def test_exact_mean_layer_edges(self):
+        """E[layer_edges] = q^2 m exactly on the ordered c5_blowup(3) core at
+        d = 6, over all 2^15 samples weighted by their exact 1/d probability:
+        adjacent vertices of a triangle-free core have disjoint candidate sets,
+        so each is in the layer independently, with probability q."""
+        og, _ = reduce_and_order(c5_blowup(3), 6)
+        n, d = og.graph.n, 6
+        ell = derive_params(d, False).ell
+        q_exact = math.comb(d, ell) * Fraction(1, d) ** ell * Fraction(d - 1, d) ** (d - ell)
+        edges_by_size = [0] * (n + 1)
+        for sample in range(1 << n):
+            sampled = mask_members(sample)
+            layer_mask = _layer_mask(og.holder_masks, n, sampled, ell)
+            edges_by_size[len(sampled)] += _edges_within(og.neighbor_masks, layer_mask)
+        mean = sum(
+            Fraction(1, d) ** k * Fraction(d - 1, d) ** (n - k) * total
+            for k, total in enumerate(edges_by_size)
+        )
+        assert (n, og.graph.m, ell) == (15, 45, 3)
+        assert mean == q_exact**2 * og.graph.m
 
 
 class TestGreedyIndependentSet:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import os
@@ -27,7 +28,8 @@ from densebip.graph import (
     parse_edge_list,
     save_graph,
 )
-from densebip.generators import complete_bipartite
+from densebip.generators import c5_blowup, complete_bipartite
+from densebip.graph import _masks_fit
 from densebip.reducer import d_core
 
 from helpers import (
@@ -38,6 +40,7 @@ from helpers import (
     has_edge,
     is_bipartite,
     naive_triangle_free,
+    one_triangle_regular,
     pairset_from_edge_list,
     path_graph,
     petersen_graph,
@@ -50,6 +53,7 @@ from helpers import (
     reference_parse_edge_list,
     shuffled_form,
     shuffled_layout_form,
+    triangle_count,
 )
 
 
@@ -140,6 +144,37 @@ class TestTriangleFree:
         for seed in range(200):
             g = random_graph(2 + seed % 9, 0.15 + 0.1 * (seed % 7), seed)
             assert g.is_triangle_free() == naive_triangle_free(g), seed
+
+    @pytest.mark.parametrize(
+        "build,dense",
+        [
+            *(pytest.param(lambda t=t: c5_blowup(t), True, id=f"c5_blowup({t})")
+              for t in range(1, 7)),
+            pytest.param(petersen_graph, True, id="petersen"),
+            pytest.param(one_triangle_regular, True, id="dense-one-triangle"),
+            pytest.param(lambda: from_edge_list(10, [(0, 1), (1, 2), (0, 2)]), False,
+                         id="K3+7-isolated"),
+            pytest.param(lambda: from_edge_list(14, cycle_graph(7).edges()), True,
+                         id="C7+7-isolated"),
+            pytest.param(lambda: from_edge_list(15, cycle_graph(7).edges()), False,
+                         id="C7+8-isolated"),
+        ],
+    )
+    def test_both_sides_of_the_mask_rule(self, build, dense):
+        """Non-bipartite graphs, so the search runs: on bitmasks when n masks
+        fit the adjacency's memory, on sets otherwise."""
+        g = build()
+        assert _masks_fit(g) == dense
+        assert not g._is_bipartite()
+        # only the bitmask search folds the masks with `reduce`
+        with mock.patch.object(densebip.graph, "reduce", side_effect=functools.reduce) as folds:
+            assert g.is_triangle_free() == naive_triangle_free(g) == (triangle_count(g) == 0)
+        assert folds.called == dense
+
+    def test_one_triangle_regular(self):
+        g = one_triangle_regular()
+        assert triangle_count(g) == 1
+        assert {len(nbrs) for nbrs in g.adjacency} == {16}
 
     @given(st.data())
     def test_agrees_with_naive_scan(self, data):

@@ -19,6 +19,7 @@ from densebip.reducer import (
     OrderedGraph,
     OrderingError,
     _bit_sliced_ordering,
+    _holder_masks,
     _masks_fit,
     bitmask,
     build_ordered,
@@ -463,3 +464,72 @@ class TestBothBranches:
         )
         adjacency_bytes = sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, g.adjacency))
         assert mask_bytes <= 2 * adjacency_bytes
+
+
+class TestEagerHolderMasks:
+    """On a dense core `build_ordered` fills `holder_masks` from the neighbor
+    masks in one sweep; `OrderedGraph._holders` builds a mask on first use
+    only on a sparse core."""
+
+    @settings(max_examples=200)
+    @given(graphs(max_n=20), st.integers(0, 5), st.data())
+    def test_sweep_matches_the_lazy_rule(self, g, d, data):
+        """Any order and d, isolated vertices and d = 0 included, where a
+        candidate set is empty and its vertex holds nothing."""
+        og = OrderedGraph(g, tuple(data.draw(st.permutations(range(g.n)))), d)
+        nbr = [bitmask(nbrs) for nbrs in g.adjacency]
+        assert _holder_masks(og.candidate_sets, nbr) == [
+            bitmask(og._holders(x)) for x in range(g.n)
+        ]
+
+    def test_empty_candidate_sets_hold_nothing(self):
+        g = from_edge_list(6, [(0, 1), (1, 2), (3, 4)])  # vertex 5 is isolated
+        og = OrderedGraph(g, tuple(range(6)), 0)
+        nbr = [bitmask(nbrs) for nbrs in g.adjacency]
+        assert _holder_masks(og.candidate_sets, nbr) == [0] * 6
+        og = OrderedGraph(g, tuple(range(6)), 1)
+        assert _holder_masks(og.candidate_sets, nbr) == [
+            bitmask(og._holders(x)) for x in range(6)
+        ] == [0b10, 0b101, 0, 0b10000, 0b1000, 0]
+
+    @pytest.mark.parametrize(
+        "build,d",
+        [
+            (lambda: complete_bipartite(16, 16), 16),
+            (lambda: c5_blowup(12), 24),
+            (shrink_core, 24),
+            (lambda: circulant(640, 5), 10),
+        ],
+        ids=["k16", "c5-12", "shrink", "circulant-640"],
+    )
+    def test_every_eager_mask_equals_the_lazy_one(self, build, d):
+        g = build()
+        assert _masks_fit(g)
+        og = build_ordered(g, d)
+        eager = og.__dict__["holder_masks"]
+        assert sorted(eager) == list(range(g.n))
+        assert [eager[x] for x in range(g.n)] == [bitmask(og._holders(x)) for x in range(g.n)]
+        # each holder mask is cut from its neighbor mask, so it is no larger
+        assert all(
+            sys.getsizeof(eager[x]) <= sys.getsizeof(og.neighbor_masks[x]) for x in range(g.n)
+        )
+
+    def test_sparse_core_gets_no_eager_holder_masks(self):
+        og = build_ordered(rb2500_core(), 12)
+        assert "holder_masks" not in og.__dict__
+
+    def test_mc_potential_builds_no_holder_mask_lazily(self, monkeypatch):
+        calls = []
+        real = OrderedGraph._holders
+
+        def spy(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(OrderedGraph, "_holders", spy)
+        og, _ = reduce_and_order(c5_blowup(20), 40)
+        assert _masks_fit(og.graph)
+        _, rate = mc_potential(og, derive_params(40, True), 300, seed=0)
+        assert rate > 0
+        assert calls == []
+        assert len(og.holder_masks) == og.graph.n

@@ -1,6 +1,9 @@
 """Frozen-value checks and randrange replays: any drift here breaks every
 seeded result downstream."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,3 +99,44 @@ def test_sampled_members_matches_randrange_replay_for_every_block_degree():
         vertices = range(3 * d)
         assert sampled_members(ours, vertices, d) == [v for v in vertices if theirs.randrange(d) == 0]
         assert ours.getstate() == theirs.getstate()
+
+
+MASTER_SEEDS = [0, 1, -5, 2**64 - 1]
+
+
+def test_stream_is_seeded_without_random_seed(monkeypatch):
+    """A stream is seeded in C, never through `random.Random.seed`."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("random.Random.seed called")
+
+    monkeypatch.setattr(random.Random, "seed", refuse)
+    for seed in MASTER_SEEDS:
+        assert 0 <= stream(seed, 3).random() < 1
+
+
+@pytest.mark.parametrize("seed", MASTER_SEEDS)
+def test_stream_equals_random_of_its_seed(seed):
+    """stream(s, i) is random.Random(stream_seed(s, i)) in state, in every
+    draw the package or a caller makes, and after a pickle round trip, whose
+    bytes are those of the plain Random."""
+    for index in (0, 1, 1000):
+        ours, theirs = stream(seed, index), random.Random(stream_seed(seed, index))
+        assert ours.getstate() == theirs.getstate()
+        assert ours.getrandbits(77) == theirs.getrandbits(77)
+        assert ours.getrandbits(32 * 300) == theirs.getrandbits(32 * 300)
+        assert ours.random() == theirs.random()
+        assert ours.randrange(12345) == theirs.randrange(12345)
+        a, b = list(range(40)), list(range(40))
+        ours.shuffle(a)
+        theirs.shuffle(b)
+        assert a == b
+        # the second gauss call returns the value the first one kept
+        assert [ours.gauss(0.0, 1.0), ours.gauss(2.0, 3.0)] == [
+            theirs.gauss(0.0, 1.0), theirs.gauss(2.0, 3.0)
+        ]
+        assert ours.getstate() == theirs.getstate()
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+        clone = pickle.loads(pickle.dumps(ours))
+        assert clone.getstate() == theirs.getstate()
+        assert [clone.random(), ours.random()] == [theirs.random()] * 2
