@@ -441,7 +441,7 @@ class TestBothBranches:
         for g, d in ((cycle_graph(200), 2), (rb2500_core(), 12)):
             assert not _masks_fit(g)
             og = build_ordered(g, d)
-            assert not any(name in og.__dict__ for name in CACHES)
+            assert not any(name in og.__dict__ for name in (*CACHES, "holder_masks"))
 
     @pytest.mark.parametrize(
         "build,d",
@@ -513,10 +513,6 @@ class TestEagerHolderMasks:
         assert all(
             sys.getsizeof(eager[x]) <= sys.getsizeof(og.neighbor_masks[x]) for x in range(g.n)
         )
-
-    def test_sparse_core_gets_no_eager_holder_masks(self):
-        og = build_ordered(rb2500_core(), 12)
-        assert "holder_masks" not in og.__dict__
 
     def test_mc_potential_builds_no_holder_mask_lazily(self, monkeypatch):
         calls = []
