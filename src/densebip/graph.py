@@ -26,8 +26,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import islice, repeat
-from operator import add, floordiv, lt, mod, mul, ne, or_
+from operator import add, floordiv, lt, mod, mul, or_
 from pathlib import Path
+
+from . import lanes
 
 # Every vertex gets an adjacency list, isolated or not, so a header alone could
 # ask for gigabytes; above this count the input is refused before any is made.
@@ -262,18 +264,18 @@ def _tokens(lines: bytes) -> list[int]:
     return json.loads(b"[" + lines.translate(_COMMAS) + b"]")
 
 
-def _layout_edges(lines: bytes, n: int) -> tuple[list[int], list[int], bool] | None:
-    """The edges of `lines`, canonical-layout "u v" lines, as lists us, vs and
-    whether each u < v; None for a token off the grammar, an id >= n or a self-loop."""
+def _layout_edges(lines: bytes, n: int) -> tuple[array, array, lanes.Pairs] | None:
+    """The edges of `lines`, canonical-layout "u v" lines, as int32 arrays us,
+    vs and their `lanes.Pairs`; None for a token off the grammar or of 2**31
+    or more, an id >= n or a self-loop. Only the JSON parse and the int32
+    conversion make an int per token: the tests run on 32-bit lanes."""
     try:
-        nums = _tokens(lines[:-1])
-    except ValueError:  # a token off the grammar
+        nums = array("i", _tokens(lines[:-1]))
+    except (ValueError, OverflowError):  # a token off the grammar or >= 2**31
         return None
-    cu, cv = nums[::2], nums[1::2]
-    forward = all(map(lt, cu, cv))
-    if (max(cv) if forward else max(nums)) >= n or not (forward or all(map(ne, cu, cv))):
-        return None
-    return cu, cv, forward
+    us, vs = nums[::2], nums[1::2]
+    pairs = lanes.Pairs(us, vs)
+    return (us, vs, pairs) if pairs.below(n) and (pairs.forward or pairs.differ()) else None
 
 
 def _text(piece: bytes, start: int) -> str:
@@ -295,35 +297,41 @@ def _pieces(f: io.BufferedIOBase) -> Iterator[bytes]:
     yield from iter(lambda: f.read(_CHUNK) + f.readline(), b"")
 
 
-def _read_edges(f: io.BufferedIOBase) -> tuple[int, array, array, str]:
+def _read_edges(f: io.BufferedIOBase) -> tuple[int, array, array, str | None]:
     """(n, us, vs, sha256): the binary file `f`, read once with the grammar and
     messages of `parse_edge_list`, as int32 arrays of its edges (us[i], vs[i]),
-    u < v in increasing order, and the sha256 hex digest of its canonical text.
+    u < v in increasing order, and the sha256 hex digest of its canonical text
+    when the file gave the edges so, else None (see `_edges_sha256`).
 
     Pieces end at a newline: the first line, then `_CHUNK` bytes and the rest
     of their last line. Layout alone picks the parser: "u v" lines, once
     "\r\n" is "\n", are parsed in C in any order; other pieces, and those
-    `_layout_edges` turns away, are decoded and read line by line. While the
-    edges are in order each piece is hashed as read, else `_sort_and_hash`
-    runs at the end. The first fault waits for the line count, reported
-    before it, and only bytes that are not UTF-8 precede a header fault."""
+    `_layout_edges` turns away, are decoded and read line by line. Either way
+    the piece's `lanes.Pairs` and one tuple comparison with the edge before
+    it tell whether the edges are still in order. While they are, each piece
+    is hashed as read, else `_sort_edges` runs at the end. The first fault
+    waits for the line count, reported before it, and only bytes that are
+    not UTF-8 precede a header fault."""
     n = m = fault = None
     lines = end = 0
     us, vs = array("i"), array("i")
-    last, digest = -1, hashlib.sha256()  # last is None once the edges are out of order
+    # the last edge so far, None once the edges are out of order
+    last, digest = (-1, -1), hashlib.sha256()
     for piece in _pieces(f):
         start, end = end, end + len(piece)
         body = piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
         k = body.count(b"\n")
+        pu, pv, pairs = array("i"), array("i"), None
         # digits, one space, digits, newline on every line, no longer on average
         # than a canonical line (so a long line is not copied); JSON judges the tokens
         if (m is not None and len(body) <= _LINE * k and body.endswith(b"\n")
                 and body.translate(None, b"0123456789") == b" \n" * k
                 and (fault or (edges := _layout_edges(body, n)))):
             lines += k  # after a fault, only the line count can matter
-            pu, pv, forward = ([], [], False) if fault else edges
+            if not fault:
+                pu, pv, pairs = edges
         else:
-            body, pu, pv = b"", [], []  # a long line is then held as its bytes and text
+            body = b""  # a long line is then held as its bytes and text
             text = _text(piece, start)
             del piece  # then as its text and one line
             for raw in text.split("\n"):
@@ -358,11 +366,12 @@ def _read_edges(f: io.BufferedIOBase) -> tuple[int, array, array, str]:
                         _check_vertex_count(n)
                     except GraphError as exc:
                         fault = exc
-            forward = all(map(lt, pu, pv))
-        us.fromlist(pu)
-        vs.fromlist(pv)
-        keys = forward and last is not None and [last, *map(add, map(mul, pu, repeat(n)), pv)]
-        last = keys[-1] if keys and all(map(lt, keys, islice(keys, 1, None))) else None
+        us += pu
+        vs += pv
+        if pu and last is not None:
+            pairs = pairs or lanes.Pairs(pu, pv)
+            in_order = pairs.forward and (pu[0], pv[0]) > last and pairs.rising()
+            last = (pu[-1], pv[-1]) if in_order else None
         if last is not None:
             digest.update(body or b"".join(map(b"%d %d\n".__mod__, zip(pu, pv))))
     if m is None:
@@ -371,12 +380,14 @@ def _read_edges(f: io.BufferedIOBase) -> tuple[int, array, array, str]:
         raise GraphError(f"header declares {m} edges, found {lines} edge lines")
     if fault:
         raise fault
-    return _sort_and_hash(n, us, vs) if last is None else (n, us, vs, digest.hexdigest())
+    if last is None:
+        return (n, *_sort_edges(n, us, vs), None)
+    return n, us, vs, digest.hexdigest()
 
 
-def _sort_and_hash(n: int, us: array, vs: array) -> tuple[int, array, array, str]:
-    """`_read_edges`' result for edges read out of order, where a repeat shows;
-    the canonical text is formatted once, about a piece's lines at a time."""
+def _sort_edges(n: int, us: array, vs: array) -> tuple[array, array]:
+    """The edges (us[i], vs[i]), read out of order, as `_read_edges` returns
+    them, u < v in increasing order; here a repeat shows."""
     keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
     if not all(map(lt, keys, islice(keys, 1, None))):
         seen: set[tuple[int, int]] = set()
@@ -385,12 +396,16 @@ def _sort_and_hash(n: int, us: array, vs: array) -> tuple[int, array, array, str
             if key in seen:
                 raise GraphError(f"duplicate edge ({u},{v})")
             seen.add(key)
-    us, vs = array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
-    del keys  # so that the formatting below runs beside the arrays alone
+    return array("i", map(floordiv, keys, repeat(n))), array("i", map(mod, keys, repeat(n)))
+
+
+def _edges_sha256(n: int, us: array, vs: array) -> str:
+    """The sha256 hex digest of the canonical text of the sorted edges
+    (us[i], vs[i]) on n vertices, formatted about a piece's lines at a time."""
     digest, edges = hashlib.sha256(b"%d %d\n" % (n, len(us))), zip(us, vs)
     while text := b"".join(map(b"%d %d\n".__mod__, islice(edges, _CHUNK // _LINE))):
         digest.update(text)
-    return n, us, vs, digest.hexdigest()
+    return digest.hexdigest()
 
 
 def _sorted_edges_graph(n: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
@@ -445,8 +460,9 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     Returns (graph, ids, sha256): `graph` is induced on a set of input
     vertices that contains the d-core, `ids[i]` is the input id of its vertex
     i, in ascending order, and `sha256` is the hash of the input's canonical
-    text, which `_read_edges` takes as it reads the file once, into sorted
-    edge arrays; this function only filters and builds. When
+    text. `_read_edges` reads the file once, into sorted edge arrays, and
+    hashes it as read when its edges are in order; after a sort the hash is
+    formatted from the arrays here. Then this function filters and builds. When
     2m < d*n some vertex lies outside the d-core, and the arrays are
     filtered: each round drops every edge with an endpoint of degree below
     d, and the first round that keeps more than half of its edges is the
@@ -458,11 +474,12 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     only when n <= 2m, a later one the vertices the round before kept.
 
     The filter peaks at the int32 arrays, the degree list and one piece:
-    about 13 bytes per edge under tracemalloc on a planted shell of 100k
-    edges, canonical or CRLF, and about 59 when its edges need the sort.
+    13.1 bytes per edge under tracemalloc on a planted shell of 100k edges,
+    13.0 in its CRLF form, and 58.7 when its edges need the sort.
     """
     with Path(path).open("rb") as f:
         n, us, vs, digest = _read_edges(f)
+    digest = digest or _edges_sha256(n, us, vs)
     m = len(us)
     if 2 * m >= d * n:
         return _sorted_edges_graph(n, us, vs), range(n), digest

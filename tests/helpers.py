@@ -7,10 +7,11 @@ import heapq
 import json
 import random
 import re
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress, permutations
-from operator import and_
+from itertools import combinations, compress, islice, permutations, repeat
+from operator import add, and_, lt, mul
 from pathlib import Path
 from typing import Iterable
 
@@ -169,6 +170,54 @@ def reference_load_graph(path: str | Path) -> Graph:
     except UnicodeDecodeError as exc:
         raise GraphError(f"edge-list input is not UTF-8: {exc}") from None
     return reference_parse_edge_list(text)
+
+
+def frozen_keys_rise(us, vs, n: int, last: int = -1) -> bool:
+    """The reader's order check before its lane tests, frozen: whether the
+    keys u*n + v of the edges (us[i], vs[i]), after the key `last`, strictly
+    increase. With every v below n this is the pairs' lexicographic order."""
+    keys = [last, *map(add, map(mul, us, repeat(n)), vs)]
+    return all(map(lt, keys, islice(keys, 1, None)))
+
+
+# how `lane_pairs` makes each pair from the one before
+_LANE_STEPS = ("new", "equal", "v - 1", "u - 1, v up", "u up", "v up")
+_INT32_MAX = 2**31 - 1
+
+
+@st.composite
+def lane_pairs(draw):
+    """Two int32 arrays us, vs of 0-250 ids in [0, 2**31), with ids at both
+    ends of the range common. Each pair is new, or stepped from the one
+    before: repeated, v down by one, u down by one while v rises, u up (v
+    then above it), or v up. Either every step is drawn, or the first pair
+    has u <= v and all steps but one are u up or v up, so that long runs in
+    order are common."""
+    ids = st.one_of(st.integers(0, _INT32_MAX), st.integers(0, 9),
+                    st.sampled_from([_INT32_MAX - 1, _INT32_MAX]))
+    up = st.integers(1, 3)
+    # long pieces, and the short runs of the cases above
+    count = draw(st.one_of(st.integers(0, 70), st.integers(71, 250)))
+    mixed, odd = draw(st.booleans()), draw(st.integers(0, count))
+    pairs: list[tuple[int, int]] = []
+    for i in range(count):
+        step = draw(st.sampled_from(_LANE_STEPS if mixed or i == odd else _LANE_STEPS[-2:]))
+        u, v = pairs[-1] if pairs else (0, 0)
+        if not pairs or step == "new":
+            u, v = draw(ids), draw(ids)
+            if not (mixed or pairs):  # the run in order starts forward
+                u, v = min(u, v), max(u, v)
+        elif step == "v - 1":
+            v -= 1
+        elif step == "u - 1, v up":
+            u, v = u - 1, v + draw(up)
+        elif step == "u up":
+            u += draw(up)
+            v = u + draw(st.integers(1, 2**20))
+        elif step == "v up":
+            v += draw(up)
+        pairs.append((min(max(u, 0), _INT32_MAX), min(max(v, 0), _INT32_MAX)))
+    return array("i", [u for u, _ in pairs]), array("i", [v for _, v in pairs])
 
 
 def crlf_form(text: str) -> str:

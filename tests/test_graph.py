@@ -7,7 +7,8 @@ import threading
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import combinations, compress, pairwise
+from itertools import chain, combinations, compress, pairwise
+from operator import lt, ne
 from fractions import Fraction
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densebip.graph
+from densebip import lanes
 from densebip.graph import (
     MAX_VERTICES,
     GraphError,
@@ -36,9 +38,11 @@ from helpers import (
     crlf_form,
     cycle_graph,
     edges_within,
+    frozen_keys_rise,
     graphs,
     has_edge,
     is_bipartite,
+    lane_pairs,
     naive_triangle_free,
     one_triangle_regular,
     pairset_from_edge_list,
@@ -430,11 +434,13 @@ def el_path(tmp_path_factory):
 
 
 def _loaded(load, path):
-    """(graph, hash, sorts) or the GraphError message: the hash the reader
-    took (the reference's for a loader that does not call the reader), and
-    the number of `_sort_and_hash` calls."""
+    """(graph, hash, sorts) or the GraphError message: the hash `load_core`
+    took, from the reader or from `_edges_sha256` after a sort (the
+    reference's for a loader that calls neither), and the number of
+    `_sort_edges` calls."""
     hashes, sorts = [], []
-    read_edges, sort_and_hash = densebip.graph._read_edges, densebip.graph._sort_and_hash
+    read_edges, sort_edges = densebip.graph._read_edges, densebip.graph._sort_edges
+    edges_sha256 = densebip.graph._edges_sha256
 
     def read_spy(f):
         got = read_edges(f)
@@ -443,15 +449,22 @@ def _loaded(load, path):
 
     def sort_spy(n, us, vs):
         sorts.append(n)
-        return sort_and_hash(n, us, vs)
+        return sort_edges(n, us, vs)
+
+    def hash_spy(n, us, vs):
+        hashes.append(edges_sha256(n, us, vs))
+        return hashes[-1]
 
     with mock.patch.object(densebip.graph, "_read_edges", read_spy), \
-            mock.patch.object(densebip.graph, "_sort_and_hash", sort_spy):
+            mock.patch.object(densebip.graph, "_sort_edges", sort_spy), \
+            mock.patch.object(densebip.graph, "_edges_sha256", hash_spy):
         try:
             g = load(path)
         except GraphError as exc:
             return str(exc)
-    return g, hashes[0] if hashes else reference_canonical_sha256(g), len(sorts)
+    # the reader's hash is None exactly when it sorted the edges
+    assert not hashes or (hashes[0] is None) == bool(sorts)
+    return g, hashes[-1] if hashes else reference_canonical_sha256(g), len(sorts)
 
 
 def _in_order(raw):
@@ -1177,9 +1190,9 @@ class TestChunkBoundaries:
 @pytest.fixture()
 def read_calls(monkeypatch):
     """The file offset of each piece `_text` decodes, and the n of each
-    `_sort_and_hash` call, as two lists filled while the test runs."""
+    `_sort_edges` call, as two lists filled while the test runs."""
     texts, sorts = [], []
-    text, sort_and_hash = densebip.graph._text, densebip.graph._sort_and_hash
+    text, sort_edges = densebip.graph._text, densebip.graph._sort_edges
 
     def text_spy(piece, start):
         texts.append(start)
@@ -1187,10 +1200,10 @@ def read_calls(monkeypatch):
 
     def sort_spy(n, us, vs):
         sorts.append(n)
-        return sort_and_hash(n, us, vs)
+        return sort_edges(n, us, vs)
 
     monkeypatch.setattr(densebip.graph, "_text", text_spy)
-    monkeypatch.setattr(densebip.graph, "_sort_and_hash", sort_spy)
+    monkeypatch.setattr(densebip.graph, "_sort_edges", sort_spy)
     return texts, sorts
 
 
@@ -1236,3 +1249,78 @@ class TestReadPass:
             out[i] = " ".join(out[j].split()[::-1])
             raw = "\n".join(out).encode()
         _matches_reference(el_path, raw)
+
+
+INT32_MAX = 2**31 - 1
+
+
+class TestLanes:
+    @settings(max_examples=300)
+    @given(lane_pairs(), st.integers(0, INT32_MAX))
+    @example((array("i", [5, 5, 5]), array("i", [7, 7, 8])), 8)  # equal pairs
+    @example((array("i", [3, 3, 3]), array("i", [8, 9, 8])), 9)  # a run of u, v down by 1
+    @example((array("i", [4, 3]), array("i", [5, 6])), 7)  # u down by 1 as v rises
+    @example((array("i", [0, INT32_MAX - 1]), array("i", [INT32_MAX, INT32_MAX])), 0)
+    @example((array("i", [INT32_MAX, 1]), array("i", [0, INT32_MAX])), INT32_MAX)
+    @example((array("i"), array("i")), 0)
+    def test_predicates_match_per_edge_references(self, pairs, drawn):
+        us, vs = pairs
+        got = lanes.Pairs(us, vs)
+        assert got.forward == all(map(lt, us, vs))
+        assert got.differ() == all(map(ne, us, vs))
+        assert got.rising() == frozen_keys_rise(us, vs, 2**31)
+        top = max(chain(us, vs), default=0)
+        # the largest id is then n - 1 or n
+        for n in {top, min(top + 1, INT32_MAX), drawn}:
+            assert got.below(n) == (max(chain(us, vs), default=-1) < n)
+
+    @given(st.lists(st.integers(0, INT32_MAX), max_size=200))
+    def test_lane_i_holds_element_i(self, values):
+        a = array("i", values)
+        packed = lanes.pack(a)
+        assert [packed >> 32 * i & 0xFFFFFFFF for i in range(len(a))] == values
+        assert packed >> 32 * len(a) == 0
+        # a big-endian host holds each element with its bytes reversed
+        swapped = array("i", values)
+        swapped.byteswap()
+        with mock.patch.object(lanes, "_BIG_ENDIAN", True):
+            assert lanes.pack(swapped) == packed
+
+    @pytest.mark.parametrize("k", [2, 3, 97, 290])
+    def test_every_adjacent_pair_is_ordered(self, k):
+        # a single fall anywhere, at the first or last lane too, must show
+        us = array("i", [i // 2 for i in range(k)])
+        vs = array("i", [k + i for i in range(k)])
+        assert lanes.Pairs(us, vs).rising()
+        for i in range(k - 1):
+            # pair i+1 repeats pair i, keeps its u with v one less, or has u one less
+            falls = [(us[i], vs[i]), (us[i], vs[i] - 1)] + [(us[i] - 1, vs[i] + 1)] * (us[i] > 0)
+            for fall in falls:
+                got_us, got_vs = array("i", us), array("i", vs)
+                got_us[i + 1], got_vs[i + 1] = fall
+                assert not frozen_keys_rise(got_us, got_vs, 2**31)
+                assert not lanes.Pairs(got_us, got_vs).rising(), (k, i, fall)
+        # and every lane is tested for orientation, self-loops and range
+        assert lanes.Pairs(us, vs).below(2 * k)
+        for i in range(k):
+            loop, high = array("i", vs), array("i", vs)
+            loop[i], high[i] = us[i], 2 * k
+            assert not lanes.Pairs(us, loop).forward and not lanes.Pairs(us, loop).differ()
+            assert not lanes.Pairs(us, high).below(2 * k)
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("token", [INT32_MAX, 2**31, 2**63])
+    @pytest.mark.parametrize("end", ["u", "v"])
+    def test_token_past_the_ids_matches_reference(self, el_path, shell_text, crlf, token,
+                                                  end):
+        # a canonical piece with one such token leaves the C path, through the
+        # lane range test or the int32 conversion, and the line path names it
+        lines = shell_text.splitlines()
+        i = _chunk_firsts(shell_text.encode())[1] + 5
+        u, v = lines[i].split()
+        lines[i] = f"{token} {v}" if end == "u" else f"{u} {token}"
+        text = "\n".join(lines) + "\n"
+        raw = (text.replace("\n", "\r\n") if crlf else text).encode()
+        n = lines[0].split()[0]
+        edge = f"({token},{v})" if end == "u" else f"({u},{token})"
+        assert _matches_reference(el_path, raw) == f"edge {edge} out of range for n={n}"
