@@ -16,30 +16,31 @@ the positive denominator 10abd, so acceptance is the sign of an integer
 numerator, and the potential's float is num / den, which Python rounds
 correctly.
 
-A trial's layer mask comes from its hit counts, and one evaluator turns a
-sample with a nonempty layer into its layer edge count and supported mask.
-The counts-only kernel, through which `stats` and the trial loop of `extract`
-draw every trial, returns just the numerator of those counts; a trial that
-sampled fewer than ell vertices, or hit no layer, never reaches the
-evaluator. Each driver binds the kernel once per run to the run's constants
-(`_counts_kernel`): ell, the threshold, the three integer coefficients of
-the numerator and the ordered graph's mask tables, so a trial reads nothing
-off the ordered graph or the params. `sample_trial` reads a
-`SampleOutcome`'s layer and supported sets off the same masks and adds the
-survivors and the exact Fraction; `extract` builds it only for the trial it
-accepts.
+A trial's layer mask comes from its hit counts; its layer edge count and
+supported mask follow from the layer mask and the survivors. The counts-only
+kernel, through which `stats` and the trial loop of `extract` draw every
+trial, returns just the numerator of those counts; a trial that sampled
+fewer than ell vertices, or hit no layer, stops there. Each driver binds the
+kernel once per run to the run's constants (`_counts_kernel`): ell, the
+threshold, the three integer coefficients of the numerator, the ordered
+graph's two mask tables and its positions, so a trial reads nothing off the
+ordered graph or the params. `sample_trial` reads a `SampleOutcome`'s layer
+and supported sets off the same masks and adds the survivors and the exact
+Fraction; `extract` builds it only for the trial it accepts.
 
-The survivors, the layer, its edge count and the support counts are computed
-on Python-int bitmasks over the core's vertex ids: the ordered graph derives
-and caches, per vertex, a left-neighbor mask, a neighbor mask and a holder
-mask (the neighbors whose candidate set, their d smallest neighbor ids, ends
-at an id at least its own). A mask takes at most n/8 bytes for an n-vertex
-core. On a dense core, where n masks take no more memory than the adjacency
-tuples, `reducer.build_ordered` fills all three tables up front: the neighbor
-and left masks from its bit-sliced ordering, the holder masks from the
-neighbor masks. On any other core each mask is built on first use, so a
-trial costs at most n/8 bytes per vertex it touches the first time.
-`reducer.bitmask` and `reducer.mask_members` convert between id lists and masks.
+The layer, its edge count and the support counts are computed on Python-int
+bitmasks over the core's vertex ids: the ordered graph derives and caches,
+per vertex, a neighbor mask and a holder mask (the neighbors whose candidate
+set, their d smallest neighbor ids, ends at an id at least its own). The
+survivors come from the order alone: the sample is swept in order of
+position, and a member survives when its neighbor mask misses the members
+already swept. A mask takes at most n/8 bytes for an n-vertex core. On a
+dense core, where n masks take no more memory than the adjacency tuples,
+`reducer.build_ordered` fills both tables up front: the neighbor masks from
+its bit-sliced ordering, the holder masks from the neighbor masks. On any
+other core each mask is built on first use, so a trial costs at most n/8
+bytes per vertex it touches the first time. `reducer.bitmask` and
+`reducer.mask_members` convert between id lists and masks.
 """
 
 from __future__ import annotations
@@ -232,15 +233,25 @@ def require_vertex(og: OrderedGraph, v: int) -> None:
 def left_minimal_members(og: OrderedGraph, sampled) -> list[int]:
     """The members of `sampled` with no sampled left-neighbor, in the given order.
 
-    Each member's cached left mask is cut by one bitmask of the sample.
+    The sample is swept in order of position (`_left_minimal`), then put
+    back in the given order.
     """
-    return _left_minimal(og.left_masks, sampled)
+    survivors = set(_left_minimal(og.neighbor_masks, og.positions, sampled))
+    return [x for x in sampled if x in survivors]
 
 
-def _left_minimal(left, sampled) -> list[int]:
-    """`left_minimal_members` on the ordered graph's left mask table `left`."""
-    sampled_mask = bitmask(sampled)
-    return [x for x in sampled if not left[x] & sampled_mask]
+def _left_minimal(neighbors, pos, sampled) -> list[int]:
+    """The members of `sampled` with no sampled left-neighbor, in order of
+    position, by the ordered graph's neighbor mask table `neighbors` and its
+    positions `pos`: a member survives when its neighbor mask misses the mask
+    of the members swept before it. The kernel needs them in no order."""
+    swept = 0
+    survivors = []
+    for x in sorted(sampled, key=pos.__getitem__):
+        if not neighbors[x] & swept:
+            survivors.append(x)
+        swept |= 1 << x
+    return survivors
 
 
 def _layer_mask(holders, n: int, sampled, ell: int) -> int:
@@ -305,17 +316,6 @@ def _supported_mask(neighbors, survivors, layer_mask: int, threshold: int) -> in
     )
 
 
-def _evaluate_trial(neighbors, left, threshold: int, sampled, layer_mask: int) -> tuple[int, int]:
-    """(layer_edges, supported_mask) of the trial that drew the ids `sampled`
-    and hit the nonempty `layer_mask`, by the ordered graph's neighbor and
-    left mask tables: the supported mask is cut from the layer mask by the
-    left-minimal members of the sample."""
-    survivors = _left_minimal(left, sampled)
-    return _edges_within(neighbors, layer_mask), _supported_mask(
-        neighbors, survivors, layer_mask, threshold
-    )
-
-
 def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     """Draw one trial from `rng`: a random.Random, usually a seeded stream, or
     anything whose getrandbits(k) gives the same 32-bit words for any k.
@@ -324,18 +324,16 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
     exactly 1/d and the stream is consumed as by one randrange(d) per vertex,
     though for d < 256 most of it is drawn as one getrandbits block of a word
     per vertex. The record's layer and supported sets are read off the masks
-    of `_layer_mask` and `_evaluate_trial`.
+    of `_layer_mask` and `_supported_mask`.
     """
     require_compatible(og, params)
     n = og.graph.n
+    neighbors = og.neighbor_masks
     sampled = sampled_members(rng, range(n), params.d)
-    layer_mask = _layer_mask(og.holder_masks, n, sampled, params.ell)
-    layer_edges, supported_mask = (
-        _evaluate_trial(og.neighbor_masks, og.left_masks, params.threshold, sampled, layer_mask)
-        if layer_mask
-        else (0, 0)
-    )
     survivors = left_minimal_members(og, sampled)
+    layer_mask = _layer_mask(og.holder_masks, n, sampled, params.ell)
+    layer_edges = _edges_within(neighbors, layer_mask)
+    supported_mask = _supported_mask(neighbors, survivors, layer_mask, params.threshold)
     layer, supported = mask_members(layer_mask), mask_members(supported_mask)
     phi = potential_value(len(supported), layer_edges, len(sampled), params)
     return SampleOutcome(
@@ -344,35 +342,37 @@ def sample_trial(og: OrderedGraph, params: Params, rng) -> SampleOutcome:
 
 
 def _trial_numerator(vertices: range, d: int, ell: int, threshold: int, den: int, b2: int,
-                     a2d2: int, holders, neighbors, left, rng) -> int:
+                     a2d2: int, holders, neighbors, pos, rng) -> int:
     """The numerator of `sample_trial(og, params, rng).potential` over 10abd,
     unreduced, and `rng` left in the same state.
 
     All but `rng` are the run's constants, which `_counts_kernel` binds once:
     the vertices range(n), d, ell, the threshold, the coefficients of
-    `_potential_coefficients` and the holder, neighbor and left mask tables.
-    It draws the same sample and evaluates it the same way, but keeps only
-    counts: a trial whose layer is empty, as when it sampled fewer than ell
-    vertices, scores -a^2 d^2 |sampled| without `_evaluate_trial`, the support
-    count is one bit count of a mask, and no tuple, record or Fraction is
-    built.
+    `_potential_coefficients`, the holder and neighbor mask tables and the
+    positions. It draws the same sample and evaluates it the same way, but
+    keeps only counts: a trial whose layer is empty, as when it sampled fewer
+    than ell vertices, scores -a^2 d^2 |sampled| before its survivors are
+    found, the support count is one bit count of a mask, and no tuple, record
+    or Fraction is built.
     """
     sampled = sampled_members(rng, vertices, d)
     n_sampled = len(sampled)
     layer_mask = _layer_mask(holders, len(vertices), sampled, ell) if n_sampled >= ell else 0
     if not layer_mask:
         return -a2d2 * n_sampled
-    layer_edges, supported_mask = _evaluate_trial(neighbors, left, threshold, sampled, layer_mask)
+    survivors = _left_minimal(neighbors, pos, sampled)
+    layer_edges = _edges_within(neighbors, layer_mask)
+    supported_mask = _supported_mask(neighbors, survivors, layer_mask, threshold)
     return den * supported_mask.bit_count() - b2 * layer_edges - a2d2 * n_sampled
 
 
 def _counts_kernel(og: OrderedGraph, params: Params) -> partial:
     """`_trial_numerator` with the run's constants bound: call it on a stream.
     The caller checks that `og` and `params` are compatible. It pickles, with
-    the mask tables, as a `partial` of a module-level function."""
+    the mask tables and positions, as a `partial` of a module-level function."""
     return partial(
         _trial_numerator, range(og.graph.n), params.d, params.ell, params.threshold,
-        *_potential_coefficients(params), og.holder_masks, og.neighbor_masks, og.left_masks,
+        *_potential_coefficients(params), og.holder_masks, og.neighbor_masks, og.positions,
     )
 
 

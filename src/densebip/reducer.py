@@ -3,7 +3,8 @@
 The pipeline keeps only the d-core, shrinks it to an inclusion-minimal induced
 subgraph of minimum degree >= d (which forces degeneracy <= d), then fixes a
 left-to-right order of left-degree <= d. The ordered core stores the graph,
-the order and d, and derives its left lists, candidate sets and masks.
+the order and d, and derives its positions, left lists, candidate sets and
+masks.
 
 Both the d-core and the minimality scan run on one peeling routine
 (Batagelj-Zaversnik): delete some vertices, then repeatedly delete every
@@ -22,10 +23,10 @@ The ordering is smallest-last (Matula-Beck): repeatedly remove a vertex of
 least degree. `build_ordered` runs it on int bitmasks with a bit-sliced
 degree counter when the core's neighbour masks take no more memory than its
 adjacency tuples (`graph._masks_fit`), and on a binary heap otherwise; both
-give the same order. On such a dense core it also fills all three mask
-tables of the trial kernel up front: the neighbour and left masks from the
-ordering's own pass, the holder masks from the neighbour masks in one sweep.
-On any other core each mask is built on its first lookup.
+give the same order. On such a dense core it also fills both mask tables
+of the trial kernel up front: the neighbour masks from the ordering's own
+pass, the holder masks from the neighbour masks in one sweep. On any other
+core each mask is built on its first lookup.
 """
 
 from __future__ import annotations
@@ -85,19 +86,26 @@ class OrderedGraph(namedtuple("OrderedGraph", "graph order d")):
     """A graph, a left-to-right order (order[i] is the vertex at position i) and d.
 
     All else is derived from these three fields on first use and cached.
-    candidate_sets[v] are the d smallest neighbor ids of v, so y holds x (x
-    is in y's candidate set) exactly when y is a neighbor of x and x is at
-    most the last id of y's candidate set. neighbor_masks, holder_masks and
-    left_masks hold the adjacency lists, the holders and left_neighbors as
-    per-vertex int bitmasks for the trial kernel.
+    positions inverts the order; a vertex's left neighbours are its
+    neighbours at smaller positions. candidate_sets[v] are the d smallest
+    neighbor ids of v, so y holds x (x is in y's candidate set) exactly when
+    y is a neighbor of x and x is at most the last id of y's candidate set.
+    neighbor_masks and holder_masks hold the adjacency lists and the holders
+    as per-vertex int bitmasks for the trial kernel.
     """
+
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """positions[v] is the index of v in the order."""
+        pos = [0] * self.graph.n
+        for i, v in enumerate(self.order):
+            pos[v] = i
+        return tuple(pos)
 
     @cached_property
     def left_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """left_neighbors[v] lists the neighbors of v that precede it in the order."""
-        pos = [0] * self.graph.n
-        for i, v in enumerate(self.order):
-            pos[v] = i
+        pos = self.positions
         return tuple(
             tuple(w for w in nbrs if pos[w] < pos[v]) for v, nbrs in enumerate(self.graph.adjacency)
         )
@@ -117,18 +125,9 @@ class OrderedGraph(namedtuple("OrderedGraph", "graph order d")):
         """holder_masks[x] has bit y set for each y whose candidate set contains x."""
         return VertexMasks(self._holders)
 
-    @cached_property
-    def left_masks(self) -> VertexMasks:
-        """left_masks[v] has bit w set for each left-neighbor w of v."""
-        return VertexMasks(self._left_neighbors_of)
-
     def _holders(self, x: int) -> list[int]:
         cand = self.candidate_sets
         return [y for y in self.graph.adjacency[x] if cand[y] and x <= cand[y][-1]]
-
-    # left_neighbors.__getitem__ would derive every list when the cache is made
-    def _left_neighbors_of(self, v: int) -> tuple[int, ...]:
-        return self.left_neighbors[v]
 
 
 def _peel(
@@ -273,18 +272,16 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     return tuple(reversed(removal)), degeneracy
 
 
-def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], list[int]]:
-    """`degeneracy_ordering` on bitmasks, plus the masks it passes through.
+def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int]]:
+    """`degeneracy_ordering` on bitmasks, plus the neighbour masks it runs on.
 
-    Returns (order, degeneracy, nbr, left): nbr[v] is bitmask(adjacency[v])
-    and left[v] the mask of v's neighbours that precede it in the order. The
-    live degrees sit in a bit-sliced counter, levels[i] holding bit i of
+    Returns (order, degeneracy, nbr), where nbr[v] is bitmask(adjacency[v]).
+    The live degrees sit in a bit-sliced counter, levels[i] holding bit i of
     every degree. The live vertices of least degree are found by narrowing
     `alive` from the top level down, to the vertices whose bit there is 0
     whenever one is; the removed vertex is the lowest of them. Its live
-    neighbours, which follow it in the removal and so precede it in the
-    order, are its left mask, and they are subtracted from the counter with a
-    ripple borrow. Each step costs O(log(max degree) * n/64) word operations.
+    neighbours are subtracted from the counter with a ripple borrow. Each
+    step costs O(log(max degree) * n/64) word operations.
     """
     n = g.n
     pow2 = [1 << v for v in range(n)]
@@ -294,7 +291,6 @@ def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], lis
         sum(compress(pow2, [dv >> i & 1 for dv in deg]))
         for i in range(max(deg, default=0).bit_length())
     ]
-    left = [0] * n
     removal: list[int] = []
     degeneracy = 0
     alive = (1 << n) - 1
@@ -314,13 +310,13 @@ def _bit_sliced_ordering(g: Graph) -> tuple[tuple[int, ...], int, list[int], lis
         removal.append(v)
         if dv > degeneracy:
             degeneracy = dv
-        borrow = left[v] = nbr[v] & alive
+        borrow = nbr[v] & alive
         for i, level in enumerate(levels):
             if not borrow:
                 break
             levels[i] = level ^ borrow
             borrow &= ~level
-    return tuple(reversed(removal)), degeneracy, nbr, left
+    return tuple(reversed(removal)), degeneracy, nbr
 
 
 def _holder_masks(candidate_sets: Sequence[Sequence[int]], nbr: list[int]) -> list[int]:
@@ -351,9 +347,9 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
     core's representation is picked once, by `_masks_fit`. When its n
     neighbour masks take no more memory than its adjacency tuples
     (ceil(n/64) * n <= 2m), the ordering runs on bitmasks
-    (`_bit_sliced_ordering`), and the neighbour and left masks it builds
-    fill the ordered graph's `neighbor_masks` and `left_masks` caches; one
-    sweep over the neighbour masks fills `holder_masks` (`_holder_masks`).
+    (`_bit_sliced_ordering`), and the neighbour masks it builds fill the
+    ordered graph's `neighbor_masks` cache; one sweep over them fills
+    `holder_masks` (`_holder_masks`).
     Otherwise, as on a large sparse core, where n masks would take about
     n^2/8 bytes, the ordering is the heap `degeneracy_ordering` and every
     mask is built on first use.
@@ -365,7 +361,7 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
         raise OrderingError(f"min degree {min_deg} is below d={d}")
     dense = _masks_fit(g)
     if dense:
-        order, degeneracy, nbr, left = _bit_sliced_ordering(g)
+        order, degeneracy, nbr = _bit_sliced_ordering(g)
     else:
         order, degeneracy = degeneracy_ordering(g)
     if degeneracy > d:
@@ -373,7 +369,6 @@ def build_ordered(g: Graph, d: int) -> OrderedGraph:
     og = OrderedGraph(g, order, d)
     if dense:
         og.neighbor_masks.update(enumerate(nbr))
-        og.left_masks.update(enumerate(left))
         og.holder_masks.update(enumerate(_holder_masks(og.candidate_sets, nbr)))
     return og
 

@@ -8,11 +8,11 @@ i draws from its own stream `stream(seed, i)` and `iter_indexed` yields the
 results in index order, whichever process computed them. Each driver binds
 its trial, a module-level function or a `partial` of one, to all but the
 index; `mc_potential` binds the counts-only kernel, itself a `partial` with
-the run's constants and mask tables (`extractor._counts_kernel`), and its
-trial looks `stream` up here at call time. With workers > 1 a process pool
-receives the bound trial once, through its initializer, so tasks carry only
-indices; `concurrent.futures` is imported only when a pool is opened.
-`extract` runs its trials serially.
+the run's constants, mask tables and positions (`extractor._counts_kernel`),
+and its trial looks `stream` up here at call time. With workers > 1 a
+process pool receives the bound trial once, through its initializer, so
+tasks carry only indices; `concurrent.futures` is imported only when a pool
+is opened. `extract` runs its trials serially.
 
 Every driver reads its trials in one pass and keeps only its fold: the
 proportion checks keep counts, and the mean checks keep one float per trial

@@ -828,9 +828,7 @@ def _frozen_evaluate_trial(og: OrderedGraph, params: Params, sampled) -> tuple[i
     layer_mask = _frozen_layer_mask(og, sampled, params.ell)
     if not layer_mask:
         return 0, 0, 0
-    sampled_mask = bitmask(sampled)
-    left = og.left_masks
-    survivors = [x for x in sampled if not left[x] & sampled_mask]
+    survivors = reference_left_minimal_members(og, sampled)
     supported_mask = _frozen_supported_mask(og, survivors, layer_mask, params.threshold)
     cut = map(layer_mask.__and__, map(og.neighbor_masks.__getitem__, mask_members(layer_mask)))
     return layer_mask, sum(map(int.bit_count, cut)) // 2, supported_mask

@@ -278,10 +278,10 @@ class TestTrialKernelOracle:
         params = derive_params(24, True)
         for i in range(20):
             sample_trial(og, params, stream(3, i))
-        masks = ("holder_masks", "neighbor_masks", "left_masks")
-        assert all(og.__dict__[name] for name in masks)
+        tables = ("holder_masks", "neighbor_masks", "positions")
+        assert all(og.__dict__[name] for name in tables)
         clone = pickle.loads(pickle.dumps(og))
-        for name in masks:
+        for name in tables:
             assert clone.__dict__[name] == og.__dict__[name]
         for i in range(60):
             assert sample_trial(clone, params, stream(3, i)) == sample_trial(og, params, stream(3, i))
@@ -327,13 +327,12 @@ class TestCountsKernel:
 
 def _tables_filled(og: OrderedGraph, eager: bool) -> OrderedGraph:
     """A fresh copy of `og` whose mask tables fill as `build_ordered` fills them
-    on the given side of `_masks_fit`: all three up front, holders from the
+    on the given side of `_masks_fit`: both up front, holders from the
     neighbor masks, or each mask on its first lookup."""
     fresh = OrderedGraph(*og)
     if eager:
         nbr = [bitmask(nbrs) for nbrs in og.graph.adjacency]
         fresh.neighbor_masks.update(enumerate(nbr))
-        fresh.left_masks.update(enumerate(map(bitmask, og.left_neighbors)))
         fresh.holder_masks.update(enumerate(_holder_masks(og.candidate_sets, nbr)))
     return fresh
 

@@ -329,10 +329,9 @@ def shrink_core():
 
 class TestBitSlicedOrdering:
     def check(self, g):
-        order, degeneracy, nbr, left = _bit_sliced_ordering(g)
+        order, degeneracy, nbr = _bit_sliced_ordering(g)
         assert (order, degeneracy) == degeneracy_ordering(g)
         assert (order, degeneracy) == tuple_key_degeneracy_ordering(g)
-        assert left == [bitmask(ids) for ids in reference_left_neighbors(g, order)]
         assert nbr == [bitmask(nbrs) for nbrs in g.adjacency]
 
     @settings(max_examples=200)
@@ -362,11 +361,16 @@ class TestDerivedTables:
         assert [og.holder_masks[x] for x in range(g.n)] == reference_holder_masks(g, d)
 
     @pytest.mark.parametrize(
-        "build,d", [(lambda: complete_bipartite(16, 16), 16), (lambda: c5_blowup(12), 24)],
-        ids=["k16", "c5-12"],
+        "build,d,guarantee",
+        [
+            (lambda: complete_bipartite(16, 16), 16, True),
+            (lambda: c5_blowup(12), 24, True),
+            (rb2500_core, 12, False),  # the heap side: every mask built on first use
+        ],
+        ids=["k16", "c5-12", "rb2500"],
     )
-    def test_trials_on_dense_cores_build_no_left_lists(self, build, d):
-        params = derive_params(d, True)
+    def test_trials_on_dense_cores_build_no_left_lists(self, build, d, guarantee):
+        params = derive_params(d, guarantee)
         og, _ = reduce_and_order(build(), d)
         extract(og, params, seed=0)
         assert "left_neighbors" not in og.__dict__
@@ -378,7 +382,7 @@ class TestDerivedTables:
         og = build_ordered(rb2500_core(), 12)
         sample_trial(og, derive_params(12, False), stream(0, 0))
         assert len(og.holder_masks) < og.graph.n
-        assert len(og.left_masks) < og.graph.n
+        assert len(og.neighbor_masks) < og.graph.n
 
 
 def circulant(n, k):
@@ -386,7 +390,7 @@ def circulant(n, k):
     return from_edge_list(n, [(v, (v + j) % n) for v in range(n) for j in range(1, k + 1)])
 
 
-CACHES = ("neighbor_masks", "left_masks")
+CACHES = ("neighbor_masks", "holder_masks")
 
 
 def build_on(monkeypatch, dense, g, d):
@@ -441,7 +445,7 @@ class TestBothBranches:
         for g, d in ((cycle_graph(200), 2), (rb2500_core(), 12)):
             assert not _masks_fit(g)
             og = build_ordered(g, d)
-            assert not any(name in og.__dict__ for name in (*CACHES, "holder_masks"))
+            assert not any(name in og.__dict__ for name in CACHES)
 
     @pytest.mark.parametrize(
         "build,d",

@@ -458,8 +458,9 @@ def test_memory_per_trial(driver):
     held every numerator or a list of floats."""
     og, _ = reduce_and_order(c5_blowup(60), 120)
     params = derive_params(120, True)
-    for v in range(og.graph.n):  # every mask is built before tracing
-        og.holder_masks[v], og.neighbor_masks[v], og.left_masks[v]
+    og.positions  # every table is built before tracing
+    for v in range(og.graph.n):
+        og.holder_masks[v], og.neighbor_masks[v]
 
     def peak(trials: int) -> int:
         tracemalloc.start()
