@@ -21,12 +21,27 @@ call live in the generators, oracle and stats modules; each public name that
 access to it here (a module `__getattr__`) and then cached. The commands read
 these names as attributes of this module, so patching
 `densebip.cli.mc_potential` reaches `stats potential`.
+
+A run from the command line (`entry`, behind the `densebip` script and
+`python -m densebip.cli`) ends with `os._exit` once `main` has returned and
+stdout and stderr are flushed: the interpreter's teardown, its collection
+passes and the clearing of every module and of the graph, is skipped. That
+loses nothing only while nothing is pending when `main` returns:
+
+- `stats.iter_indexed` shuts its pool down inside `with`, so no worker
+  process or thread outlives it;
+- every file is written under `with`, so it is closed;
+- the package registers no `atexit` hook.
+
+A change that breaks one of these has to revisit the exit. `main` itself
+returns its code and is the in-process entry for tests and tracing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -41,6 +56,7 @@ from .extractor import (
     extract,
 )
 from .graph import (
+    _ID,
     BipartitePairReport,
     GraphError,
     bipartite_pair_report,
@@ -111,14 +127,22 @@ def _pair_payload(side_i: list[int], side_j: list[int], report: BipartitePairRep
     }
 
 
+def vertex_id(token: str) -> int:
+    """A vertex id given on the command line, in the edge-list grammar
+    (`graph._ID`): ASCII digits, optionally after '-'."""
+    if not _ID.fullmatch(token):
+        raise ValueError(f"{token!r} is not an ASCII decimal vertex id")
+    return int(token)
+
+
 def _parse_id_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
+    """Comma-separated vertex ids, each with optional spaces and tabs around it."""
+    if not text.strip(" \t"):
         return []
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad vertex list {text!r}, expected comma-separated ids") from None
+        return [vertex_id(part.strip(" \t")) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad vertex list {text!r}: {exc}") from None
 
 
 def _positive_int(label: str, value: int) -> int:
@@ -329,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--workers", type=int, default=1)
     st.add_argument("--guarantee", action="store_true")
-    st.add_argument("--y", type=int, default=None, help="conditioned vertex (original id)")
-    st.add_argument("--x", type=int, default=None, help="survival vertex (original id)")
+    st.add_argument("--y", type=vertex_id, default=None, help="conditioned vertex (original id)")
+    st.add_argument("--x", type=vertex_id, default=None, help="survival vertex (original id)")
     st.set_defaults(func=cmd_stats)
 
     ver = sub.add_parser("verify", help="validate a candidate pair")
@@ -355,7 +379,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run `main` on the process's argv and end the process with its code.
+
+    Once the output is flushed the process ends with `os._exit`, without the
+    interpreter's teardown; see the module docstring for why that is safe.
+    A failed flush, as on a closed pipe, ends it with `sys.exit`, whose
+    shutdown reports the failure as a normal exit would.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # the stream's normal shutdown reports what went wrong
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

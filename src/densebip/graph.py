@@ -225,7 +225,7 @@ def parse_edge_list(text: str) -> Graph:
     through the reader of `load_graph` as UTF-8, and its hash is dropped.
     """
     n, us, vs, _ = _read_edges(io.BytesIO(text.encode("utf-8", "surrogatepass")))
-    return _sorted_edges_graph(n, us, vs)
+    return _read_graph(n, us, vs)
 
 
 def _canonical_pieces(g: Graph) -> Iterator[str]:
@@ -422,7 +422,27 @@ def _sorted_edges_graph(n: int, us: Iterable[int], vs: Iterable[int]) -> Graph:
     return Graph(tuple(lists))
 
 
-def _drop_low(us: Sequence[int], vs: Sequence[int], d: int, deg: list[int],
+def _read_graph(n: int, us: array, vs: array) -> Graph:
+    """`_sorted_edges_graph` on the edge arrays of `_read_edges`.
+
+    Under a header far above its edge count, n > 2m, only the edge ends get
+    a list and an int object and every other vertex shares the empty tuple,
+    so each vertex costs one 8-byte slot, two while the tuple is copied.
+    """
+    if n <= 2 * len(us):
+        return _sorted_edges_graph(n, us, vs)
+    ids = {v: v for v in {*us, *vs}}
+    lists: dict[int, list[int]] = {v: [] for v in ids}
+    for u, v in zip(us, vs):
+        lists[u].append(ids[v])
+        lists[v].append(ids[u])
+    adjacency: list[tuple[int, ...]] = [()] * n
+    for v, nbrs in lists.items():
+        adjacency[v] = tuple(nbrs)
+    return Graph(tuple(adjacency))
+
+
+def _drop_low(us: Sequence[int], vs: Sequence[int], d: int, deg: dict[int, int] | list[int],
               high: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """One filter round of `load_core` on the edges (us[i], vs[i]).
 
@@ -430,8 +450,8 @@ def _drop_low(us: Sequence[int], vs: Sequence[int], d: int, deg: list[int],
     end lies in `high`, an ascending sequence of vertices. Returns the edges
     whose two ends have degree at least d among them, as lists us, vs in the
     same order, and the ascending vertices of `high` with that degree, which
-    hold their ends. `deg`, indexed by vertex, is all zeros on entry and on
-    return; only its `high` entries are written.
+    hold their ends. `deg`, indexed by vertex, is zero at every vertex of
+    `high` on entry and on return; only those entries are written.
     """
     for v in us:
         deg[v] += 1
@@ -469,9 +489,12 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     last, so all rounds read at most 2m edges. A dropped edge has an end
     outside the d-core that loses every edge in the same round, so the
     survivors induce exactly the kept edges; only their ends get adjacency
-    lists. Other inputs are built whole, with ids = range(n). Degrees are
-    counted in one list of n ints; the first round reads all n vertices
-    only when n <= 2m, a later one the vertices the round before kept.
+    lists. Other inputs are built whole, with ids = range(n), by
+    `_read_graph`. When n <= 2m, degrees are counted in one list of n ints
+    and the first round reads all n vertices; under a header far above its
+    edge count, n > 2m, they are counted in a dict over the edge ends, which
+    are then the only candidates. A later round reads the vertices the round
+    before kept.
 
     The filter peaks at the int32 arrays, the degree list and one piece:
     13.1 bytes per edge under tracemalloc on a planted shell of 100k edges,
@@ -482,10 +505,13 @@ def load_core(path: str | Path, d: int) -> tuple[Graph, Sequence[int], str]:
     digest = digest or _edges_sha256(n, us, vs)
     m = len(us)
     if 2 * m >= d * n:
-        return _sorted_edges_graph(n, us, vs), range(n), digest
-    deg = [0] * n
-    # under a header far above its edge count, the edge ends are the candidates
-    high: Sequence[int] = range(n) if n <= 2 * m else sorted({*us, *vs})
+        return _read_graph(n, us, vs), range(n), digest
+    if n <= 2 * m:
+        high: Sequence[int] = range(n)
+        deg: dict[int, int] | list[int] = [0] * n
+    else:  # under a header far above its edge count, the edge ends are the candidates
+        high = sorted({*us, *vs})
+        deg = dict.fromkeys(high, 0)
     while us:
         before = len(us)
         us, vs, high = _drop_low(us, vs, d, deg, high)

@@ -1,15 +1,24 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from densebip.cli import main
+from densebip.cli import entry, main
 from densebip.generators import c5_blowup, complete_bipartite, random_bipartite
-from densebip.graph import MAX_VERTICES, from_edge_list, load_graph, parse_edge_list, save_graph
+from densebip.graph import (
+    MAX_VERTICES,
+    format_edge_list,
+    from_edge_list,
+    load_graph,
+    parse_edge_list,
+    save_graph,
+)
 
 from helpers import (
     k40_with_triangles,
@@ -524,6 +533,23 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--in", c5_file, "--I", "a,b", "--J", "1")
         assert code == 2
 
+    def test_ids_may_have_spaces_and_tabs_around_them(self, c5_file, capsys):
+        code, out, _ = run(capsys, "verify", "--in", c5_file, "--I", "0, 2", "--J", "\t1 ,3 ")
+        assert code == 0 and json.loads(out)["I"] == [0, 2] and json.loads(out)["J"] == [1, 3]
+
+    # the ids that int() takes and the edge-list reader refuses: an
+    # Arabic-Indic and a fullwidth digit, an underscore, a sign, hex and float
+    @pytest.mark.parametrize("token", ["\u0660", "\uff11", "1_0", "+1", "0x1", "1e3"])
+    def test_ids_take_the_edge_list_grammar(self, c5_file, capsys, token):
+        code, out, err = run(capsys, "verify", "--in", c5_file, "--I", token, "--J", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad vertex list {token!r}: {token!r} is not an ASCII decimal vertex id\n"
+        for flag in ("--x", "--y"):
+            with pytest.raises(SystemExit) as exited:
+                main(["stats", "survival", "--in", c5_file, "--d", "2", flag, token])
+            assert exited.value.code == 2
+            assert f"argument {flag}: invalid vertex_id value: {token!r}" in capsys.readouterr().err
+
 
 def test_seed_env_var_is_ignored(k16_file, capsys, monkeypatch):
     # --seed alone sets the seed, and it defaults to 0
@@ -631,3 +657,118 @@ def test_potential_matches_the_whole_graph_run(shape_file, seed, capsys):
     code, out, _ = run(capsys, "stats", "potential", "--in", path, "--d", str(d),
                        "--guarantee", "--seed", str(seed), "--trials", "40")
     assert (code, out) == reference_potential_stdout(path, d, seed, 40)
+
+
+class _Exited(Exception):
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
+def _exit_sentinel(code):
+    raise _Exited(code)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["extract", "--in", "{k16}", "--d", "16", "--guarantee"], 0),
+    (["verify", "--in", "{c5}", "--I", "0", "--J", "1,2"], 1),
+    (["verify", "--in", "{bad}", "--I", "0", "--J", "1"], 2),
+], ids=["extract", "invalid pair", "malformed file"])
+def test_entry_ends_the_process_with_the_code_of_main(k16_file, c5_file, tmp_path, capsys,
+                                                      monkeypatch, argv, want):
+    bad = tmp_path / "bad.el"
+    bad.write_text("3 1\n0 x\n")
+    argv = [arg.format(k16=k16_file, c5=c5_file, bad=bad) for arg in argv]
+    monkeypatch.setattr(os, "_exit", _exit_sentinel)
+    monkeypatch.setattr(sys, "argv", ["densebip", *argv])
+    with pytest.raises(_Exited) as exited:
+        entry()
+    assert exited.value.code == want
+    out = capsys.readouterr().out
+    if want == 2:
+        assert out == ""
+    else:
+        assert json.loads(out)["valid"] is (want == 0)
+
+
+# `entry`, and what it replaced: main's code through sys.exit and the
+# interpreter's teardown
+WAYS = (["-m", "densebip.cli"],
+        ["-c", "import sys; from densebip.cli import main; sys.exit(main(sys.argv[1:]))"])
+
+
+def _both_ways(argv, env, cut=False, stdout=subprocess.PIPE):
+    """(exit code, stdout bytes, stderr bytes) of `argv` run through
+    each of `WAYS`; with `cut`, the reader closes stdout after its first byte."""
+    runs = []
+    for head in WAYS:
+        proc = subprocess.Popen([sys.executable, *head, *argv], env=env, stdout=stdout,
+                                stderr=subprocess.PIPE)
+        out = b""
+        if proc.stdout is not None:
+            out = proc.stdout.read(1) if cut else proc.stdout.read()
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        runs.append((proc.wait(timeout=60), out, err))
+    return runs
+
+
+@pytest.fixture(scope="module", params=["buffered", "unbuffered"])
+def cli_env(request):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if request.param == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return {**env, "PYTHONPATH": src}
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--in", "{k16}", "--d", "16", "--guarantee"],
+    ["stats", "potential", "--in", "{k16}", "--d", "16", "--trials", "200", "--workers", "2"],
+    ["verify", "--in", "{c5}", "--I", "0,2", "--J", "1,3"],
+    ["verify", "--in", "{c5}", "--I", "0", "--J", "1,2"],
+    ["verify", "--in", "{bad}", "--I", "0", "--J", "1"],
+    ["gen", "c5-blowup", "100"],
+], ids=["extract", "stats potential", "valid pair", "invalid pair", "malformed file", "gen"])
+def test_entry_keeps_the_bytes_and_code_of_sys_exit(k16_file, c5_file, tmp_path, cli_env, argv):
+    bad = tmp_path / "bad.el"
+    bad.write_text("3 1\n0 x\n")
+    argv = [arg.format(k16=k16_file, c5=c5_file, bad=bad) for arg in argv]
+    hard, soft = _both_ways(argv, cli_env)
+    assert hard == soft
+    assert hard[1] or hard[0] == 2
+    if argv[0] == "gen":
+        # about 380 KB, many times a pipe's buffer: cut after the first byte
+        hard, soft = _both_ways(argv, cli_env, cut=True)
+        assert hard == soft and hard[1] == b"5"
+    # written into a pipe whose reader is gone: a failed write or flush is
+    # reported as the interpreter's normal shutdown reports it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        hard, soft = _both_ways(argv, cli_env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert hard == soft and hard[0] != 0
+
+
+def test_entry_keeps_the_file_written_with_out(tmp_path, cli_env):
+    want = format_edge_list(c5_blowup(100)).encode()
+    for i, head in enumerate(WAYS):
+        path = tmp_path / f"{i}.el"
+        done = subprocess.run([sys.executable, *head, "gen", "c5-blowup", "100", "--out", str(path)],
+                              env=cli_env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert path.read_bytes() == want
+
+
+def test_no_pool_outlives_main(k16_file, capsys, monkeypatch):
+    # entry ends the process without joining anything: main must have joined
+    # every pool process and thread; two CPUs let the pool open on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "stats", "potential", "--in", k16_file, "--d", "16",
+                       "--trials", "200", "--workers", "2")
+    assert code == 0 and json.loads(out)["check"] == "potential"
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1

@@ -784,6 +784,26 @@ class TestLoadCore:
         assert _core_ids(el_path, 3) == list(range(6))
         assert highs[0] <= 2 * len(edges)
 
+    @pytest.mark.parametrize("d, bound", [(0, 20), (2, 1)])
+    def test_header_far_above_the_edge_count_memory(self, el_path, d, bound):
+        # a 4-cycle under a header of a million vertices: built whole, only
+        # the four ends get lists, about 16 bytes per vertex for the adjacency
+        # and its copy into a tuple, where a list and an int per vertex took
+        # 104; the 2-core filter counts degrees over the ends, where a degree
+        # list took 8
+        n = 1_000_000
+        el_path.write_bytes(b"%d 4\n0 2\n0 3\n1 2\n1 3\n" % n)
+        tracemalloc.start()
+        try:
+            got, ids, _ = load_core(el_path, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cycle = ((2, 3), (2, 3), (0, 1), (0, 1))
+        assert got.adjacency[:4] == cycle and got.m == 4
+        assert list(ids) == list(range(got.n)) and got.n == (n if d == 0 else 4)
+        assert peak < bound * n
+
     def test_peak_memory_per_edge(self, el_path, planted_100k):
         g = planted_100k
         save_graph(g, el_path)
